@@ -224,8 +224,64 @@ def run_transient(
     return transient(compiled, t_stop=t_stop, dt=dt, op=op)
 
 
-#: Offset-bisection resolution (V): results below this are reported 0.0.
+#: Offset-search resolution (V): results below this are reported 0.0.
 _OFFSET_TOL = 1e-7
+
+
+class _SourceSweep:
+    """Compile-once, warm-started DC solves of one testbench family.
+
+    ``build_tb(x)`` builds the testbench at sweep input ``x`` (an offset
+    or bias search).  The first point is compiled; a later point whose
+    netlist is :meth:`~repro.spice.mna.CompiledCircuit.structurally_like`
+    it reuses that system and restamps only the source vector
+    (:meth:`~repro.spice.mna.CompiledCircuit.source_rhs_like`).  Each
+    solve warm-starts from the solution at the nearest input solved so
+    far; :func:`~repro.spice.dc.dc_operating_point` falls back to its
+    cold path when that guess does not converge.
+    """
+
+    def __init__(self, build_tb, tech: Technology):
+        self.build_tb = build_tb
+        self.rules = tech.rules
+        self.compiled: CompiledCircuit | None = None
+        self.solved: list[tuple[float, np.ndarray]] = []
+
+    def prepare(self, x: float):
+        """``(compiled, rhs_src, warm)`` for a solve at ``x``; ``rhs_src``
+        is None when ``x``'s own netlist was just compiled."""
+        tb = self.build_tb(x)
+        if self.compiled is not None and self.compiled.structurally_like(tb):
+            rhs = self.compiled.source_rhs_like(tb)
+        else:
+            self.compiled = CompiledCircuit(tb, self.rules)
+            # Solutions of another structure are no guess for this one.
+            self.solved = []
+            rhs = None
+        warm = None
+        if self.solved:
+            warm = min(self.solved, key=lambda point: abs(point[0] - x))[1]
+        return self.compiled, rhs, warm
+
+    def record(self, x: float, op) -> None:
+        self.solved.append((x, op.x))
+
+    def solve(self, x: float):
+        """The operating point at ``x``: one :func:`dc_operating_point`."""
+        compiled, rhs, warm = self.prepare(x)
+        op = dc_operating_point(compiled, rhs_src=rhs, warm=warm)
+        self.record(x, op)
+        return op
+
+
+def _snap_offset(offset: float) -> float:
+    # An offset below the search resolution is indistinguishable from
+    # zero.  Snap it so downstream consumers (the cost function's
+    # zero-schematic-reference branch) see a true zero: a perfectly
+    # symmetric circuit must measure 0.0 regardless of which LU backend
+    # solved it — pivoting-order noise at the 1e-16 level otherwise
+    # walks the search to an arbitrary sub-tolerance point.
+    return 0.0 if abs(offset) < _OFFSET_TOL else offset
 
 
 def dc_offset_bisection(
@@ -235,7 +291,11 @@ def dc_offset_bisection(
     lo: float = -0.05,
     hi: float = 0.05,
 ) -> float:
-    """Input-referred offset via bisection on a DC response.
+    """Input-referred offset: the root of a DC response in a bracket.
+
+    The root is found by :func:`~repro.spice.measure.find_dc_zero`; the
+    testbench is compiled once and every solve is warm-started
+    (:class:`_SourceSweep`).
 
     Args:
         build_tb: Callable ``(x) -> Circuit`` building the testbench with
@@ -243,26 +303,17 @@ def dc_offset_bisection(
         tech: Technology node.
         response: Callable ``(op) -> float`` extracting the quantity to
             null (e.g. differential output current).
-        lo, hi: Bisection bracket (V).
+        lo, hi: Search bracket (V).
 
     Returns:
         The input voltage nulling the response; magnitudes below the
-        bisection tolerance report as exactly ``0.0``.
+        search tolerance report as exactly ``0.0``.
     """
-
-    def evaluate(x: float) -> float:
-        compiled = CompiledCircuit(build_tb(x), tech.rules)
-        op = dc_operating_point(compiled)
-        return response(op)
-
-    offset = measure.find_dc_zero(evaluate, lo, hi, tolerance=_OFFSET_TOL)
-    # An offset below the bisection resolution is indistinguishable from
-    # zero.  Snap it so downstream consumers (the cost function's
-    # zero-schematic-reference branch) see a true zero: a perfectly
-    # symmetric circuit must measure 0.0 regardless of which LU backend
-    # solved it — pivoting-order noise at the 1e-16 level otherwise
-    # walks the bisection to an arbitrary sub-tolerance midpoint.
-    return 0.0 if abs(offset) < _OFFSET_TOL else offset
+    sweep = _SourceSweep(build_tb, tech)
+    offset = measure.find_dc_zero(
+        lambda x: response(sweep.solve(x)), lo, hi, tolerance=_OFFSET_TOL
+    )
+    return _snap_offset(offset)
 
 
 def dc_offset_bisection_many(
@@ -272,79 +323,52 @@ def dc_offset_bisection_many(
     lo: float = -0.05,
     hi: float = 0.05,
 ) -> list:
-    """Batched :func:`dc_offset_bisection`: K bisections in lock-step.
+    """Batched :func:`dc_offset_bisection`: K root searches in lock-step.
 
-    Each bisection round solves every live member's testbench through
-    one stacked Newton call, and — since successive bisection inputs
-    change only independent-source values — each member's system is
-    *compiled once*: later rounds rebuild the (cheap) netlist, verify it
-    is :meth:`~repro.spice.mna.CompiledCircuit.structurally_like` the
-    compiled one, and restamp only the right-hand side.  A member the
-    fast path cannot serve (structure drift, plain-Newton divergence
-    where the serial solver would climb its homotopy ladder) drops to a
-    per-evaluation serial solve with identical results.
+    Each round solves every live member's testbench through one stacked
+    plain-Newton call, from the same compiled system, restamped source
+    vector and warm guess the serial search would use (one
+    :class:`_SourceSweep` per member).  A member plain Newton cannot
+    converge takes the serial solver's cold path, so results are
+    bitwise identical to the serial helper.
 
     Returns one entry per member: the offset (snapped to 0.0 below the
-    bisection resolution, exactly like the serial helper), or the
-    captured exception the serial helper would have raised
+    search tolerance, exactly like the serial helper), or the captured
+    exception the serial helper would have raised
     (:class:`~repro.errors.MeasureError` on a bracket without a sign
     change, solver errors otherwise).
     """
-    count = len(build_tbs)
-    compileds: list[CompiledCircuit | None] = [None] * count
-    serial_member = [False] * count
-
-    def serial_eval(tb: Circuit):
-        try:
-            op = dc_operating_point(CompiledCircuit(tb, tech.rules))
-        except (ConvergenceError, SingularMatrixError) as exc:
-            return exc
-        return response(op)
+    sweeps = [_SourceSweep(build_tb, tech) for build_tb in build_tbs]
 
     def evaluate_many(indices: list[int], xs: list[float]) -> list:
-        out: list = [None] * len(indices)
-        stacked_js: list[int] = []
-        stacked_compileds: list[CompiledCircuit] = []
-        stacked_rhs: list[np.ndarray] = []
-        for j, (i, x) in enumerate(zip(indices, xs)):
-            tb = build_tbs[i](x)
-            if serial_member[i]:
-                out[j] = serial_eval(tb)
-                continue
-            compiled = compileds[i]
-            if compiled is None:
-                compiled = CompiledCircuit(tb, tech.rules)
-                compileds[i] = compiled
-                rhs = compiled.source_rhs(t=None, scale=1.0)
-            elif compiled.structurally_like(tb):
-                rhs = compiled.source_rhs_like(tb)
-            else:
-                serial_member[i] = True
-                out[j] = serial_eval(tb)
-                continue
-            stacked_js.append(j)
-            stacked_compileds.append(compiled)
-            stacked_rhs.append(rhs)
-        if stacked_js:
-            ops = newton_operating_points(
-                stacked_compileds, rhs_srcs=stacked_rhs
-            )
-            for j, op in zip(stacked_js, ops):
-                if op is None:
-                    # Plain Newton diverged; the serial path would climb
-                    # the gmin/source-stepping ladder from here.
-                    out[j] = serial_eval(build_tbs[indices[j]](xs[j]))
-                else:
-                    out[j] = response(op)
+        preps = [sweeps[i].prepare(x) for i, x in zip(indices, xs)]
+        ops = newton_operating_points(
+            [compiled for compiled, _, _ in preps],
+            rhs_srcs=[
+                compiled.source_rhs(t=None, scale=1.0) if rhs is None else rhs
+                for compiled, rhs, _ in preps
+            ],
+            x0s=[warm for _, _, warm in preps],
+        )
+        out: list = []
+        for i, x, (compiled, rhs, _), op in zip(indices, xs, preps, ops):
+            if op is None:
+                # Plain Newton diverged; the serial solve would go on
+                # with its cold path from here.
+                try:
+                    op = dc_operating_point(compiled, rhs_src=rhs)
+                except (ConvergenceError, SingularMatrixError) as exc:
+                    out.append(exc)
+                    continue
+            sweeps[i].record(x, op)
+            out.append(response(op))
         return out
 
     roots = measure.find_dc_zero_many(
-        evaluate_many, count, lo, hi, tolerance=_OFFSET_TOL
+        evaluate_many, len(build_tbs), lo, hi, tolerance=_OFFSET_TOL
     )
     return [
-        root
-        if isinstance(root, Exception)
-        else (0.0 if abs(root) < _OFFSET_TOL else root)
+        root if isinstance(root, Exception) else _snap_offset(root)
         for root in roots
     ]
 
@@ -362,6 +386,8 @@ def solve_gate_bias(
     This stands in for the paper's "DC bias conditions ... as input from
     circuit-level schematic simulations": gate-biased primitives derive
     their bias from a target current instead of a hard-coded voltage.
+    The search shares the offset measurement's root finder and
+    compile-once, warm-started solves.
 
     Args:
         tech: Technology node.
@@ -376,13 +402,10 @@ def solve_gate_bias(
         The bias voltage.
     """
     hi = tech.vdd if hi is None else hi
-
-    def evaluate(v: float) -> float:
-        compiled = CompiledCircuit(build_tb(v), tech.rules)
-        op = dc_operating_point(compiled)
-        return current_of(op) - i_target
-
-    return measure.find_dc_zero(evaluate, lo, hi, tolerance=1e-6)
+    sweep = _SourceSweep(build_tb, tech)
+    return measure.find_dc_zero(
+        lambda v: current_of(sweep.solve(v)) - i_target, lo, hi, tolerance=1e-6
+    )
 
 
 def standard_pulse(v_low: float, v_high: float, delay: float = 5.0e-11) -> Pulse:

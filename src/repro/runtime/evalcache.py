@@ -76,6 +76,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 from repro.runtime import faults, supervise
+from repro.spice.measure import ROOT_FINDER
 from repro.spice.netlist import Circuit
 
 #: Default in-memory LRU capacity (entries, not bytes: one entry is a
@@ -127,9 +128,11 @@ def analysis_signature(primitive) -> dict:
     The metric testbenches wrap the DUT with bias sources built from the
     primitive's public scalar state (vcm/vout/i_tail/..., refreshed by
     bias calibration), so that state — plus the metric list and the
-    technology's supply — is part of the cache key.  The primitive's
-    *instance name* is excluded: two differently-named instances with
-    identical state measure identically.
+    technology's supply — is part of the cache key.  So is the DC root
+    finder behind offset and gate-bias measurements: entries another
+    method measured miss instead of being served next to this one's.
+    The primitive's *instance name* is excluded: two differently-named
+    instances with identical state measure identically.
     """
     scalars = {
         k: _canon(v)
@@ -143,6 +146,7 @@ def analysis_signature(primitive) -> dict:
         "state": scalars,
         "metrics": [[m.name, _canon(m.weight)] for m in primitive.metrics()],
         "vdd": _canon(float(getattr(primitive.tech, "vdd", 0.0))),
+        "root_finder": ROOT_FINDER,
     }
 
 

@@ -178,15 +178,21 @@ def _newton_solve(
     force: dict[str, float] | None,
     max_iterations: int | None = None,
     recovery: set[str] | None = None,
+    rhs_src: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """One damped Newton solve; returns the solution or None.
 
     ``recovery`` (when given) collects the tags of any singular-matrix
-    fallbacks used along the way.
+    fallbacks used along the way.  ``rhs_src`` overrides the circuit's
+    own DC source vector (see :func:`dc_operating_point`); it is scaled
+    by ``source_scale`` like the sources it stands for.
     """
     max_iterations = _effective_max_iterations(compiled, max_iterations)
     x = x0.copy()
-    rhs_src = compiled.source_rhs(t=None, scale=source_scale)
+    if rhs_src is None:
+        rhs_src = compiled.source_rhs(t=None, scale=source_scale)
+    else:
+        rhs_src = rhs_src * source_scale
     stats = kernel.active()
 
     diag_vals = np.full(compiled.num_nodes, gmin + GMIN_FLOOR)
@@ -250,18 +256,31 @@ def dc_operating_point(
     x0: np.ndarray | None = None,
     force: dict[str, float] | None = None,
     solver: str | None = None,
+    rhs_src: np.ndarray | None = None,
+    warm: np.ndarray | None = None,
 ) -> OperatingPoint:
     """Compute the DC operating point.
 
     Args:
         compiled: The compiled circuit.
-        x0: Optional initial guess (warm start).
+        x0: Optional initial guess for the whole solve, homotopies
+            included.
         force: Optional nodeset, mapping node names to voltages that are
             softly pinned during the solve (used to bias oscillators off
             their metastable point).
         solver: Optional solver-backend override (``"dense"``/
             ``"sparse"``/``"auto"``); defaults to the process-wide
             choice (``--solver`` / ``REPRO_SOLVER`` / auto by size).
+        rhs_src: Optional DC source vector (the
+            ``compiled.source_rhs(t=None)`` layout) replacing the
+            compiled circuit's own — the compile-once path of sweeps
+            whose points differ only in independent-source values
+            (:meth:`~repro.spice.mna.CompiledCircuit.source_rhs_like`).
+            Source stepping scales it.
+        warm: Optional warm-start guess, tried with plain Newton first.
+            If that fails, the solve starts over exactly as without
+            ``warm`` (from ``x0``, then the gmin and source-stepping
+            ladder), and the failed attempt leaves no recovery tags.
 
     Raises:
         ConvergenceError: If Newton fails even after gmin and source
@@ -280,14 +299,25 @@ def dc_operating_point(
     backend = kernel.backend_for(compiled.size, solver)
     template = _dc_template(compiled, backend)
 
-    x = x0.copy() if x0 is not None else np.zeros(compiled.size)
-    x = _perturb_retry_guess(x)
-    recovery: set[str] = set()
+    base = x0.copy() if x0 is not None else np.zeros(compiled.size)
+    x = _perturb_retry_guess(base)
 
-    # Plain Newton first: cheap and usually sufficient with a warm start.
+    if warm is not None:
+        # A retry perturbation shifts the warm guess by the same amount.
+        guess = warm if x is base else warm + (x - base)
+        warm_recovery: set[str] = set()
+        solution = _newton_solve(
+            compiled, template, guess, gmin=0.0, source_scale=1.0,
+            force=force, recovery=warm_recovery, rhs_src=rhs_src,
+        )
+        if solution is not None:
+            return _finish(compiled, solution, warm_recovery)
+
+    recovery: set[str] = set()
+    # Plain Newton from x0 first: cheap and usually sufficient.
     solution = _newton_solve(
         compiled, template, x, gmin=0.0, source_scale=1.0, force=force,
-        recovery=recovery,
+        recovery=recovery, rhs_src=rhs_src,
     )
     if solution is not None:
         return _finish(compiled, solution, recovery)
@@ -298,7 +328,7 @@ def dc_operating_point(
         gmin = 10.0 ** (-exponent)
         solution = _newton_solve(
             compiled, template, x, gmin=gmin, source_scale=1.0, force=force,
-            recovery=recovery,
+            recovery=recovery, rhs_src=rhs_src,
         )
         if solution is None:
             break
@@ -306,7 +336,7 @@ def dc_operating_point(
     else:
         solution = _newton_solve(
             compiled, template, x, gmin=0.0, source_scale=1.0, force=force,
-            recovery=recovery,
+            recovery=recovery, rhs_src=rhs_src,
         )
         if solution is not None:
             return _finish(compiled, solution, recovery)
@@ -324,6 +354,7 @@ def dc_operating_point(
             source_scale=float(scale),
             force=force,
             recovery=recovery,
+            rhs_src=rhs_src,
         )
         if stepped is None:
             raise ConvergenceError(
@@ -334,7 +365,7 @@ def dc_operating_point(
         x = stepped
     final = _newton_solve(
         compiled, template, x, gmin=0.0, source_scale=1.0, force=force,
-        recovery=recovery,
+        recovery=recovery, rhs_src=rhs_src,
     )
     if final is None:
         raise ConvergenceError(
@@ -611,10 +642,11 @@ def newton_operating_points(
     which replays the identical failing trajectory first).
 
     ``rhs_srcs`` optionally overrides each member's DC source vector
-    (``compiled.source_rhs(t=None)`` layout) — the compile-once path of
-    the batched offset bisection, where successive inputs change only
-    source values.  No fault injection, ``force`` pins or retry
-    perturbation here: callers gate on those being absent.
+    (``compiled.source_rhs(t=None)`` layout) and ``x0s`` its starting
+    guess — the compile-once, warm-started path of the batched offset
+    search, where successive inputs change only source values.  No
+    fault injection, ``force`` pins or retry perturbation here: callers
+    gate on those being absent.
     """
     stats = kernel.active()
     results: list[OperatingPoint | None] = [None] * len(compileds)

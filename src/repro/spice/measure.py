@@ -254,6 +254,76 @@ def peak_to_peak(wave: np.ndarray) -> float:
     return _finite(float(np.max(wave) - np.min(wave)), "peak-to-peak amplitude")
 
 
+#: Identifies the DC root finder behind offset and gate-bias measurements.
+#: It is part of every evaluation-cache key (see
+#: :func:`repro.runtime.evalcache.analysis_signature`), so values measured
+#: by an earlier method are never served next to this one's.
+ROOT_FINDER = "brent-v1"
+
+
+class _Bracket:
+    """One sign-change bracket refined by Brent's method.
+
+    ``b`` is the best point so far (smallest ``|f|``), ``c`` the far end
+    of the bracket (``f(c)`` of the opposite sign) and ``a`` the previous
+    ``b``.  Each step interpolates — inverse quadratic through ``a, b,
+    c`` or secant through ``a, b`` — and falls back to bisection when
+    the interpolated step is not shrinking fast enough, so the bracket
+    closes superlinearly on smooth responses and still closes on
+    step-like or flat-tailed ones.  Steps are at least half a
+    tolerance long: a point that lands next to the root is followed by
+    one just across it, which closes the bracket.
+    """
+
+    __slots__ = ("a", "b", "c", "fa", "fb", "fc", "d", "e", "tolerance")
+
+    def __init__(self, lo, hi, f_lo, f_hi, tolerance):
+        self.a, self.fa = lo, f_lo
+        self.b, self.fb = hi, f_hi
+        self.c, self.fc = lo, f_lo
+        self.d = self.e = hi - lo
+        self.tolerance = tolerance
+
+    def settle(self) -> bool:
+        """Re-label the points after ``f(b)`` changed; True once the
+        bracket ``[b, c]`` is narrower than the tolerance."""
+        if self.fb * self.fc > 0:
+            self.c, self.fc = self.a, self.fa
+            self.d = self.e = self.b - self.a
+        if abs(self.fc) < abs(self.fb):
+            self.a, self.b, self.c = self.b, self.c, self.b
+            self.fa, self.fb, self.fc = self.fb, self.fc, self.fb
+        return abs(self.c - self.b) < self.tolerance
+
+    def step(self) -> float:
+        """Advance ``b`` to the next point to evaluate, and return it."""
+        a, b, c = self.a, self.b, self.c
+        fa, fb, fc = self.fa, self.fb, self.fc
+        tol1 = 0.5 * self.tolerance
+        xm = 0.5 * (c - b)
+        if abs(self.e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(self.e * q)):
+                self.e, self.d = self.d, p / q
+            else:
+                self.d = self.e = xm
+        else:
+            self.d = self.e = xm
+        self.a, self.fa = b, fb
+        self.b = b + (self.d if abs(self.d) > tol1 else math.copysign(tol1, xm))
+        return self.b
+
+
 def find_dc_zero(
     evaluate,
     lo: float,
@@ -261,33 +331,26 @@ def find_dc_zero(
     tolerance: float = 1e-7,
     max_iterations: int = 60,
 ) -> float:
-    """Bisection root finder used by offset measurements.
+    """Bracketed root finder used by offset and gate-bias measurements.
 
     ``evaluate`` maps a scalar input (e.g. differential input voltage) to a
     scalar response (e.g. differential output current); the root of the
-    response in ``[lo, hi]`` is returned.
+    response in ``[lo, hi]`` is returned.  This is the one-member case of
+    :func:`find_dc_zero_many` (which documents the method); exceptions
+    raised by ``evaluate`` propagate, and a bracket without a sign change
+    raises :class:`~repro.errors.MeasureError`.
     """
-    f_lo = evaluate(lo)
-    f_hi = evaluate(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise MeasureError(
-            f"no sign change in [{lo:.4g}, {hi:.4g}] "
-            f"(f={f_lo:.4g} .. {f_hi:.4g})"
-        )
-    for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = evaluate(mid)
-        if f_mid == 0.0 or (hi - lo) < tolerance:
-            return mid
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    (root,) = find_dc_zero_many(
+        lambda _indices, xs: [evaluate(x) for x in xs],
+        1,
+        lo,
+        hi,
+        tolerance=tolerance,
+        max_iterations=max_iterations,
+    )
+    if isinstance(root, Exception):
+        raise root
+    return root
 
 
 def find_dc_zero_many(
@@ -298,24 +361,26 @@ def find_dc_zero_many(
     tolerance: float = 1e-7,
     max_iterations: int = 60,
 ) -> list:
-    """Lock-step bisection across many members (see :func:`find_dc_zero`).
+    """Lock-step bracketed root finding across many members.
 
     ``evaluate_many(indices, xs)`` evaluates member ``indices[j]`` at
     input ``xs[j]`` for all entries at once — the hook where the batched
     solver stack earns its keep — and returns, per entry, the float
-    response or a captured exception.  Each member's bracket updates
-    replay :func:`find_dc_zero`'s arithmetic exactly (including the
-    order of the endpoint evaluations and the zero/tolerance early
-    exits), so the returned roots are bitwise identical to ``count``
-    independent serial calls.  A member whose evaluation raised — or
-    whose bracket holds no sign change — carries the exception in the
-    returned list instead of a root.
+    response or a captured exception.
+
+    Per member: both ends of ``[lo, hi]`` are evaluated (``lo`` first);
+    an exact zero at an end returns that end, and ends of equal sign
+    give a :class:`~repro.errors.MeasureError`.  Otherwise the bracket is
+    refined by Brent's method (:class:`_Bracket`) until a point evaluates
+    to exactly zero or the bracket is narrower than ``tolerance`` (or
+    ``max_iterations`` steps have run), and its best point is returned.
+    Members never interact, so each root is bitwise what a one-member
+    call returns.  A member whose evaluation raised — or whose bracket
+    holds no sign change — carries the exception in the returned list
+    instead of a root.
     """
     results: list = [None] * count
-    los = [lo] * count
-    his = [hi] * count
-    f_los = [0.0] * count
-
+    f_los: list = [None] * count
     live = list(range(count))
     for i, fv in zip(live, evaluate_many(live, [lo] * len(live))):
         if isinstance(fv, Exception):
@@ -323,6 +388,7 @@ def find_dc_zero_many(
         else:
             f_los[i] = fv
     live = [i for i in live if results[i] is None]
+    brackets: dict[int, _Bracket] = {}
     for i, fv in zip(live, evaluate_many(live, [hi] * len(live))):
         if isinstance(fv, Exception):
             results[i] = fv
@@ -335,27 +401,28 @@ def find_dc_zero_many(
                 f"no sign change in [{lo:.4g}, {hi:.4g}] "
                 f"(f={f_los[i]:.4g} .. {fv:.4g})"
             )
-    live = [i for i in live if results[i] is None]
+        else:
+            brackets[i] = _Bracket(lo, hi, f_los[i], fv, tolerance)
+            if brackets[i].settle():
+                results[i] = brackets[i].b
+    live = [i for i in brackets if results[i] is None]
 
     for _ in range(max_iterations):
         if not live:
             break
-        mids = [0.5 * (los[i] + his[i]) for i in live]
-        responses = evaluate_many(live, mids)
+        xs = [brackets[i].step() for i in live]
         survivors = []
-        for i, mid, fv in zip(live, mids, responses):
+        for i, fv in zip(live, evaluate_many(live, xs)):
             if isinstance(fv, Exception):
                 results[i] = fv
                 continue
-            if fv == 0.0 or (his[i] - los[i]) < tolerance:
-                results[i] = mid
-                continue
-            if f_los[i] * fv < 0:
-                his[i] = mid
+            bracket = brackets[i]
+            bracket.fb = fv
+            if fv == 0.0 or bracket.settle():
+                results[i] = bracket.b
             else:
-                los[i], f_los[i] = mid, fv
-            survivors.append(i)
+                survivors.append(i)
         live = survivors
     for i in live:
-        results[i] = 0.5 * (los[i] + his[i])
+        results[i] = brackets[i].b
     return results

@@ -319,7 +319,7 @@ class CompiledCircuit:
         """DC source vector of ``other`` stamped with *this* circuit's
         indices.
 
-        The compile-once path of batched bisection sweeps: successive
+        The compile-once path of offset and gate-bias searches: successive
         sweep inputs rebuild the (cheap) netlist but change only
         independent-source values, so the expensive compile is reused
         and only the right-hand side is restamped.  Callers must have

@@ -68,6 +68,26 @@ def test_instance_name_excluded_from_key(prim):
     )
 
 
+def test_root_finder_tags_the_key(prim, tmp_path, monkeypatch):
+    # A disk tier filled while another root finder measured offsets and
+    # gate biases must miss, not serve its values next to this one's.
+    from repro.runtime import evalcache
+    from repro.spice import measure
+
+    assert analysis_signature(prim)["root_finder"] == measure.ROOT_FINDER
+    circuit = _circuit(prim)
+    monkeypatch.setattr(evalcache, "ROOT_FINDER", "bisection")
+    old = EvalCache(disk_dir=tmp_path)
+    old_key = old.key_for(prim, circuit)
+    old.put(old_key, {"offset": 1e-3}, 1)
+    monkeypatch.undo()
+    new = EvalCache(disk_dir=tmp_path)
+    new_key = new.key_for(prim, circuit)
+    assert new_key != old_key
+    assert new.get(new_key) is None
+    assert new.stats.disk_hits == 0
+
+
 def test_weight_override_changes_key(prim):
     cache = EvalCache()
     circuit = _circuit(prim)

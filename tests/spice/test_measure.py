@@ -155,6 +155,91 @@ def test_find_dc_zero_endpoint_roots():
     assert measure.find_dc_zero(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
+def test_find_dc_zero_no_sign_change_message():
+    with pytest.raises(MeasureError) as err:
+        measure.find_dc_zero(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert str(err.value) == "no sign change in [-1, 1] (f=2 .. 2)"
+
+
+def _counted(response):
+    """``response`` plus the list of inputs it was evaluated at."""
+    xs: list[float] = []
+
+    def evaluate(x):
+        xs.append(x)
+        return response(x)
+
+    return evaluate, xs
+
+
+#: Offset-search bracket and tolerance (the offset testbenches' values).
+_LO, _HI, _TOL = -0.05, 0.05, 1e-7
+
+#: Roots spread over the bracket, both signs, near-zero and near an end.
+_ROOTS = [0.0, 1e-9, 7e-4, 3e-3, -0.0123, 0.021, -0.03, 0.0333, -0.0449, 0.049]
+
+
+@pytest.mark.parametrize("root", _ROOTS)
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda x: 2e-4 * x,  # linear (a pair's small-signal Gm)
+        lambda x: 1e-4 * np.tanh(x / 0.03),  # a pair's tanh transfer
+        lambda x: 1e-4 * np.tanh(x / 0.015),  # ... saturating inside ±50 mV
+    ],
+    ids=["linear", "tanh30mV", "tanh15mV"],
+)
+def test_find_dc_zero_evaluation_budget(shape, root):
+    # Offset responses are smooth: the superlinear search needs at most
+    # 8 evaluations, both ends included.
+    evaluate, xs = _counted(lambda x: float(shape(x - root)))
+    found = measure.find_dc_zero(evaluate, _LO, _HI, tolerance=_TOL)
+    assert abs(found - root) < _TOL
+    assert len(xs) <= 8
+
+
+@pytest.mark.parametrize("root", _ROOTS)
+@pytest.mark.parametrize(
+    "response",
+    [
+        lambda x: 1.0 if x > 0 else -1.0,  # step
+        lambda x: 1.0 if x > 0 else -1e-20,  # step with a flat tail
+        lambda x: float(np.tanh(x / 1e-5)),  # saturates almost everywhere
+        lambda x: float(np.tanh(x / 0.005)),  # saturates over most of it
+        lambda x: x * abs(x) + 1e-6 * x,  # flat (quadratic) at the root
+    ],
+    ids=["step", "flat-tail", "tanh10uV", "tanh5mV", "quadratic"],
+)
+def test_find_dc_zero_closes_the_bracket_on_hard_responses(response, root):
+    # Whatever the shape, the search ends with evaluated points on both
+    # sides of the root closer than the tolerance, within the default
+    # iteration budget (60 steps after the two ends).
+    evaluate, xs = _counted(lambda x: response(x - root))
+    found = measure.find_dc_zero(evaluate, _LO, _HI, tolerance=_TOL)
+    assert abs(found - root) < _TOL
+    assert len(xs) <= 2 + 60
+    below = max(x for x in xs if response(x - root) < 0)
+    above = min(x for x in xs if response(x - root) > 0)
+    assert abs(above - below) < _TOL or response(found - root) == 0.0
+
+
+def test_find_dc_zero_stops_at_max_iterations():
+    evaluate, xs = _counted(lambda x: 1.0 if x > 0.01 else -1.0)
+    found = measure.find_dc_zero(evaluate, _LO, _HI, tolerance=_TOL, max_iterations=3)
+    assert len(xs) == 2 + 3
+    assert _LO < found < _HI
+
+
+def test_find_dc_zero_propagates_evaluation_errors():
+    def evaluate(x):
+        if x not in (_LO, _HI):
+            raise ValueError("diverged")
+        return x - 0.01
+
+    with pytest.raises(ValueError, match="diverged"):
+        measure.find_dc_zero(evaluate, _LO, _HI)
+
+
 def test_magnitude_and_phase_helpers():
     h = np.array([1.0 + 0j, 0.1 + 0j])
     db = measure.magnitude_db(h)
