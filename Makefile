@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test faults chaos bench bench-eval bench-spice bench-surrogate bench-light bench-heavy examples lint devlint verify erc ingest all
+.PHONY: install test paper faults chaos bench bench-eval bench-spice bench-surrogate bench-light bench-heavy examples lint devlint verify erc ingest all
 
 install:
 	pip install -e . --no-build-isolation
@@ -12,6 +12,12 @@ TIMEOUT_FLAG := $(shell python -c "import pytest_timeout" 2>/dev/null && echo --
 
 test:
 	pytest tests/ -q $(TIMEOUT_FLAG)
+
+# Paper-shape gate: every table and figure test under benchmarks/
+# (Tables III-VIII, Figs. 2/3/5/6, ablations, library survey), asserting
+# the paper's claims.  About 7 minutes on 2 cores.
+paper:
+	pytest benchmarks -q
 
 # Fault-injection sweep: the runtime tests re-run under every seed in the
 # matrix, exercising injected DC/transient/singular/metric failures.
@@ -43,7 +49,8 @@ lint:
 	fi
 
 # Determinism-hazard self-lint (stdlib AST walk, no deps): unseeded
-# random.*, wall-clock in cache/journal paths, bare set iteration.
+# random.*, wall-clock in cache/journal paths, bare set iteration,
+# surrogate predictions leaking into results.
 devlint:
 	python tools/devlint.py src/repro tools
 

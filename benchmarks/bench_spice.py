@@ -13,17 +13,13 @@ ring-oscillator VCO) under three solver/stepper configurations --
   the sparse backend.
 
 -- and writes wall-clock, solver counters (steps, rejections, LU reuses)
-and measured metrics to ``BENCH_spice.json``.  It also times the 5T-OTA
-primitive-selection sweep serial vs ``--batch 8`` (the vectorized
-multi-variant fast path).  Three properties are asserted, not just
-recorded:
+and measured metrics to ``BENCH_spice.json``.  Two properties are
+asserted, not just recorded:
 
 * every configuration reproduces the baseline metrics within the cost
-  function's noise tolerance,
+  function's noise tolerance, and
 * the full path beats the baseline by >= 2x wall-clock on the VCO
-  transient (the dominant cost in the paper's Table VIII runtime), and
-* the batched selection sweep reproduces the serial sweep's option
-  metrics bitwise and beats it by >= 2x wall-clock.
+  transient (the dominant cost in the paper's Table VIII runtime).
 
 Run via ``make bench-spice``, or directly::
 
@@ -198,86 +194,6 @@ def bench_circuit(label: str, measure_thunk, skip_metrics: set) -> dict:
     return rows
 
 
-def bench_batched_selection(tech: Technology, smoke: bool) -> dict:
-    """Time the 5T-OTA primitive-selection sweep serial vs batched.
-
-    Runs the full (sizing x pattern) selection sweep of every OTA
-    binding with ``batch=1`` and ``batch=8`` and asserts the batched
-    sweep reproduces every option's metric values *bitwise* — the
-    batched solvers replay the serial arithmetic, so agreement is exact,
-    far inside the 1% acceptance tolerance.  The full run also asserts
-    the >= 2x wall-clock win; the smoke run shrinks the variant set too
-    far to time meaningfully.
-    """
-    from repro.core.selection import evaluate_options
-    from repro.runtime import EvalRuntime
-    from repro.runtime.evalcache import EvalCache
-
-    rows = {}
-    results: dict[int, list] = {}
-    counters = (
-        "newton_iterations",
-        "solves",
-        "batched_solves",
-        "batch_members",
-        "batch_fallbacks",
-    )
-    for width in (1, 8):
-        ota = FiveTransistorOta(tech)
-        wall = 0.0
-        totals = dict.fromkeys(counters, 0)
-        options: list[tuple] = []
-        n_options = 0
-        for binding in ota.bindings():
-            primitive = binding.primitive
-            variants = primitive.variants()
-            if smoke:
-                variants = variants[:2]
-            runtime = EvalRuntime(cache=EvalCache(), batch=width)
-            start = time.perf_counter()
-            opts = evaluate_options(
-                primitive, variants=variants, runtime=runtime
-            )
-            wall += time.perf_counter() - start
-            # Solver work runs under the runtime's own collector; sum
-            # its counters across bindings.
-            for key in counters:
-                totals[key] += getattr(runtime.solver_stats, key)
-            n_options += len(opts)
-            options.extend(
-                (binding.name, o.base, o.pattern, o.values, o.simulations)
-                for o in opts
-            )
-        results[width] = options
-        rows[f"batch{width}"] = {"wall_s": round(wall, 4), "options": n_options}
-        rows[f"batch{width}"].update(totals)
-        print(
-            f"  ota_selection/batch{width}: {rows[f'batch{width}']['wall_s']}s, "
-            f"{n_options} options, {totals['batched_solves']} stacked solves"
-        )
-
-    assert len(results[1]) == len(results[8]), "option count diverged"
-    for serial, batched in zip(results[1], results[8]):
-        assert serial[:3] == batched[:3], "option identity diverged"
-        assert serial[4] == batched[4], f"simulation count diverged: {serial[:3]}"
-        for key, ref in serial[3].items():
-            got = batched[3][key]
-            assert got == ref, (
-                f"ota_selection: {serial[0]} {serial[2]} metric {key} "
-                f"diverged ({got} vs {ref})"
-            )
-    speedup = round(
-        rows["batch1"]["wall_s"] / max(rows["batch8"]["wall_s"], 1e-9), 3
-    )
-    rows["speedup"] = speedup
-    if not smoke:
-        assert speedup >= 2.0, (
-            f"acceptance regression: batched 5T-OTA selection sweep "
-            f"speedup {speedup}x < 2x over the serial sweep"
-        )
-    return rows
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -298,16 +214,12 @@ def main() -> None:
         print(f"{label}:")
         circuits[label] = bench_circuit(label, thunk, skip)
 
-    print("ota_selection:")
-    batched_selection = bench_batched_selection(tech, args.smoke)
-
     report = {
         "benchmark": "spice-kernel",
         "cpu_count": os.cpu_count(),
         "smoke": args.smoke,
         "metric_rtol": METRIC_RTOL,
         "circuits": circuits,
-        "batched_selection": batched_selection,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
@@ -322,11 +234,6 @@ def main() -> None:
         assert speedup >= 2.0, (
             f"acceptance regression: adaptive+sparse VCO speedup {speedup}x "
             "< 2x over the fixed-dense baseline"
-        )
-        print(
-            f"5T-OTA selection sweep: {batched_selection['batch1']['wall_s']}s "
-            f"serial -> {batched_selection['batch8']['wall_s']}s batched "
-            f"({batched_selection['speedup']}x)"
         )
     print(f"wrote {args.out}")
 

@@ -149,7 +149,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         jobs=_jobs_from_args(args),
-        batch=args.batch,
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
@@ -233,7 +232,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         jobs=_jobs_from_args(args),
-        batch=args.batch,
         cache=args.cache,
         cache_dir=args.cache_dir,
         cache_max_mb=args.cache_max_mb,
@@ -276,9 +274,6 @@ def _render_profile(profile: dict, title: str) -> str:
         ["tran steps accepted", str(profile.get("tran_steps", 0))],
         ["tran steps rejected", str(profile.get("tran_rejected", 0))],
         ["tran fixed-grid steps", str(profile.get("tran_fixed_steps", 0))],
-        ["stacked solve calls", str(profile.get("batched_solves", 0))],
-        ["stacked solve members", str(profile.get("batch_members", 0))],
-        ["stacked solve fallbacks", str(profile.get("batch_fallbacks", 0))],
     ]
     for kind, count in profile.get("analyses", {}).items():
         rows.append([f"{kind} analyses", str(count)])
@@ -317,7 +312,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             n_bins=args.bins,
             max_wires=args.max_wires,
             jobs=1,
-            batch=getattr(args, "batch", None),
             **_surrogate_kwargs(args),
         )
         result = flow.run(circuit, measure=args.target != "vco")
@@ -335,7 +329,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
             n_bins=args.bins,
             max_wires=args.max_wires,
             jobs=1,
-            batch=getattr(args, "batch", None),
             **_surrogate_kwargs(args),
         )
         report = optimizer.optimize(primitive)
@@ -619,15 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
             "any value)",
         )
         p.add_argument(
-            "--batch",
-            type=int,
-            default=None,
-            metavar="K",
-            help="vectorized-sweep width: same-pattern variants per "
-            "stacked solver call (default: REPRO_BATCH, else 1; results "
-            "are identical for any value; engages when --jobs is 1)",
-        )
-        p.add_argument(
             "--cache",
             action=argparse.BooleanOptionalAction,
             default=True,
@@ -875,13 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="primitive name or circuit name",
     )
     p_prof.add_argument("--fins", type=int, default=96)
-    p_prof.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="K",
-        help="vectorized-sweep width (default: REPRO_BATCH, else 1)",
-    )
     p_prof.add_argument("--bins", type=int, default=2)
     p_prof.add_argument("--max-wires", type=int, default=5)
     add_surrogate_args(p_prof)

@@ -188,11 +188,6 @@ class PrimitiveOptimizer:
         jobs: Worker processes for batched evaluations (None reads
             ``REPRO_JOBS``, else 1).  Any value produces byte-identical
             reports; >1 adds wall-clock parallelism only.
-        batch: Vectorized-sweep width — how many same-pattern variants
-            one stacked solver call covers (None reads ``REPRO_BATCH``,
-            else 1).  Like ``jobs``, any value is byte-identical; >1
-            trades peak memory for wall-clock.  Engages only on the
-            in-process path (``jobs <= 1``).
         cache: Content-addressed evaluation cache: ``True`` builds one
             (with an on-disk tier under ``<run_dir>/evalcache`` when
             checkpointing), ``False`` disables caching, or pass an
@@ -212,7 +207,7 @@ class PrimitiveOptimizer:
             reads ``REPRO_SURROGATE``, else off.  Predictions decide
             order and pruning only; all reported metrics come from real
             simulation, and decisions are deterministic for a fixed
-            corpus across ``jobs``/``batch``/resume.
+            corpus across ``jobs``/resume.
         surrogate_topk: Predicted-best candidates kept per selection
             sweep (``--surrogate-topk``).
         explore: Exploration budget (``--explore``): extra seeded picks
@@ -238,7 +233,6 @@ class PrimitiveOptimizer:
         resume: bool = False,
         erc: bool = True,
         jobs: int | None = None,
-        batch: int | None = None,
         cache: "bool | EvalCache" = True,
         cache_dir: str | os.PathLike | None = None,
         cache_max_mb: float | None = None,
@@ -256,7 +250,6 @@ class PrimitiveOptimizer:
         self.resume = resume
         self.erc = erc
         self.jobs = jobs
-        self.batch = batch
         self.quality_abs = quality_abs
         if isinstance(cache, EvalCache):
             self.cache: EvalCache | None = cache
@@ -302,7 +295,6 @@ class PrimitiveOptimizer:
             journal=journal,
             cache=self.cache,
             jobs=self.jobs,
-            batch=self.batch,
         )
 
     def optimize(

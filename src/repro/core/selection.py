@@ -19,7 +19,7 @@ from repro.core.cost import CostBreakdown, layout_cost
 from repro.devices.mosfet import MosGeometry
 from repro.errors import LayoutError, OptimizationError
 from repro.geometry.layout import Layout
-from repro.runtime import BatchSpec, BatchTask, EvalRuntime
+from repro.runtime import BatchTask, EvalRuntime
 from repro.runtime.evalcache import EvalCache, evaluate_circuit_cached
 from repro.surrogate import SelectionCandidate, SurrogateGuide, option_features
 
@@ -175,33 +175,7 @@ def option_task(
 
     Shared by the selection sweep and the tuning sweeps so both fan out
     through the same batch machinery with identical keys and payloads.
-    The attached :class:`~repro.runtime.BatchSpec` decomposes the
-    evaluation for the ``--batch`` fast path: ``build`` is the layout →
-    extract → netlist pipeline, ``finish`` reassembles the
-    :class:`LayoutOption` from measured values exactly as
-    :func:`evaluate_option` would.
     """
-
-    def build():
-        layout = primitive.generate(base, pattern, wires, verify=False)
-        circuit = primitive.extract(layout, base).build_circuit()
-        return circuit, layout
-
-    def finish(layout, values, simulations, cache_key):
-        breakdown = layout_cost(
-            primitive, values, weight_override=weight_override
-        )
-        return LayoutOption(
-            base=base,
-            pattern=pattern,
-            layout=layout,
-            values=values,
-            breakdown=breakdown,
-            simulations=simulations,
-            wires=wires,
-            cache_key=cache_key,
-        )
-
     return BatchTask(
         key=option_key(stage_tag, base, pattern, wires),
         thunk=lambda: evaluate_option(
@@ -213,12 +187,6 @@ def option_task(
             primitive, payload, base, pattern, wires, weight_override
         ),
         absorb=absorb,
-        batch_spec=BatchSpec(
-            primitive=primitive,
-            build=build,
-            finish=finish,
-            weight_override=weight_override,
-        ),
     )
 
 

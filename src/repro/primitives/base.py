@@ -30,7 +30,6 @@ from repro.errors import MeasureError, OptimizationError
 from repro.extraction.netlist_builder import ExtractedPrimitive, extract_primitive
 from repro.geometry.layout import Layout
 from repro.runtime import faults
-from repro.runtime.failures import is_eval_failure
 from repro.spice.netlist import Circuit
 from repro.tech.pdk import Technology
 
@@ -55,13 +54,6 @@ class MetricSpec:
             specification value used when the schematic value is zero
             (Eq. 6's second case, e.g. DP input offset).
         larger_is_better: Reporting hint only; the cost uses deviations.
-        batch_evaluate: Optional callable ``(primitive, duts, caches) ->
-            list[(value, n_sims) | Exception]`` measuring many DUTs at
-            once through the stacked solver paths.  Must be bitwise
-            identical to calling ``evaluate`` per DUT; per-member
-            failures are returned (captured), not raised.  Metrics
-            without one run serially inside
-            :meth:`MosPrimitive.evaluate_many`.
     """
 
     name: str
@@ -69,9 +61,6 @@ class MetricSpec:
     evaluate: Callable[["MosPrimitive", Circuit, dict], tuple[float, int]]
     spec_value: Callable[["MosPrimitive"], float] | None = None
     larger_is_better: bool = True
-    batch_evaluate: (
-        Callable[["MosPrimitive", list, list], list] | None
-    ) = None
 
 
 @dataclass(frozen=True)
@@ -271,57 +260,6 @@ class MosPrimitive(ABC):
         if injector is not None:
             values = injector.poison_metrics(values)
         return values, sims
-
-    def evaluate_many(self, duts: list[Circuit]) -> list:
-        """Run every metric testbench against many DUT netlists at once.
-
-        The vectorized counterpart of :meth:`evaluate` for the
-        ``--batch`` fast path: metrics that declare a
-        :attr:`~MetricSpec.batch_evaluate` measure the whole batch
-        through the stacked solver paths, the rest run serially per
-        member.  Returns one entry per DUT — ``(values, n_sims)``
-        exactly as :meth:`evaluate` would produce, or None for a member
-        whose evaluation failed (the caller re-runs that member serially
-        so the failure surfaces through the ordinary retry machinery).
-
-        Not meant to run under fault injection: injected faults key on
-        the single-evaluation context, so the batched entry points gate
-        on an inactive injector before coming here.
-        """
-        count = len(duts)
-        values: list[dict[str, float]] = [{} for _ in range(count)]
-        sims = [0] * count
-        caches: list[dict] = [{} for _ in range(count)]
-        dead = [False] * count
-        for metric in self.metrics():
-            live = [i for i in range(count) if not dead[i]]
-            if not live:
-                break
-            if metric.batch_evaluate is not None and len(live) > 1:
-                outcomes = metric.batch_evaluate(
-                    self, [duts[i] for i in live], [caches[i] for i in live]
-                )
-                for i, outcome in zip(live, outcomes):
-                    if isinstance(outcome, Exception):
-                        dead[i] = True
-                    else:
-                        value, n = outcome
-                        values[i][metric.name] = value
-                        sims[i] += n
-            else:
-                for i in live:
-                    try:
-                        value, n = metric.evaluate(self, duts[i], caches[i])
-                    except Exception as exc:
-                        if not is_eval_failure(exc):
-                            raise
-                        dead[i] = True
-                    else:
-                        values[i][metric.name] = value
-                        sims[i] += n
-        return [
-            None if dead[i] else (values[i], sims[i]) for i in range(count)
-        ]
 
     def schematic_reference(self) -> dict[str, float]:
         """Metric values of the schematic netlist (cached).

@@ -70,20 +70,14 @@ class DifferentialPair(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec("gm", WEIGHT_MEDIUM, _eval_gm, batch_evaluate=_eval_gm_many),
-            MetricSpec(
-                "gm_over_ctotal",
-                WEIGHT_MEDIUM,
-                _eval_gm_over_ctotal,
-                batch_evaluate=_eval_gm_over_ctotal_many,
-            ),
+            MetricSpec("gm", WEIGHT_MEDIUM, _eval_gm),
+            MetricSpec("gm_over_ctotal", WEIGHT_MEDIUM, _eval_gm_over_ctotal),
             MetricSpec(
                 "offset",
                 WEIGHT_HIGH,
                 _eval_offset,
                 spec_value=lambda prim: 0.1 * prim.random_offset_sigma(),
                 larger_is_better=False,
-                batch_evaluate=_eval_offset_many,
             ),
         ]
 
@@ -267,89 +261,3 @@ def _eval_offset(
         # offset so the cost function rejects the configuration.
         offset = 0.05
     return abs(offset), 1
-
-
-# --- batched metric evaluators ----------------------------------------------
-# Each mirrors its serial counterpart arithmetic-for-arithmetic; exceptions
-# are returned in place so MosPrimitive.evaluate_many can drop the member
-# back to the serial path where the identical failure reproduces.
-
-
-def _eval_gm_many(
-    prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.gm_testbench(dut) for dut in duts]
-    results = tbh.transfer_current_many(
-        tbs, prim.tech, ["voutp", "voutn"], [1.0, -1.0]
-    )
-    out: list = []
-    for i, res in enumerate(results):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        _freqs, current = res
-        gm = abs(current[0])
-        caches[i]["gm"] = float(gm)
-        out.append((float(gm), 1))
-    return out
-
-
-def _eval_gm_over_ctotal_many(
-    prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
-) -> list:
-    count = len(duts)
-    sims = [0] * count
-    out: list = [None] * count
-    need = [i for i in range(count) if "gm" not in caches[i]]
-    if need:
-        gm_results = _eval_gm_many(
-            prim, [duts[i] for i in need], [caches[i] for i in need]
-        )
-        for i, res in zip(need, gm_results):
-            if isinstance(res, Exception):
-                out[i] = res
-            else:
-                sims[i] += res[1]
-    live = [i for i in range(count) if out[i] is None]
-    couts = tbh.port_capacitance_many(
-        [prim.cout_testbench(duts[i]) for i in live], prim.tech, "voutp"
-    )
-    for i, cout in zip(live, couts):
-        if isinstance(cout, Exception):
-            out[i] = cout
-            continue
-        sims[i] += 1
-        ctotal = cout + prim.c_load
-        caches[i]["ctotal"] = ctotal
-        out[i] = (caches[i]["gm"] / ctotal, sims[i])
-    return out
-
-
-def _eval_offset_many(
-    prim: DifferentialPair, duts: list[Circuit], caches: list[dict]
-) -> list:
-    from repro.errors import MeasureError
-
-    def make_build(dut: Circuit):
-        def build(x: float) -> Circuit:
-            return prim._bias_testbench(dut, vin_diff=x)
-
-        return build
-
-    def response(op) -> float:
-        return op.i("voutp") - op.i("voutn")
-
-    roots = tbh.dc_offset_bisection_many(
-        [make_build(dut) for dut in duts], prim.tech, response
-    )
-    out: list = []
-    for root in roots:
-        if isinstance(root, MeasureError):
-            # Same saturation the serial path applies when the pair no
-            # longer steers within the bracket.
-            out.append((0.05, 1))
-        elif isinstance(root, Exception):
-            out.append(root)
-        else:
-            out.append((abs(root), 1))
-    return out

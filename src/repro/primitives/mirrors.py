@@ -71,18 +71,12 @@ class PassiveCurrentMirror(MosPrimitive):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec(
-                "current_ratio",
-                WEIGHT_HIGH,
-                _eval_ratio,
-                batch_evaluate=_eval_ratio_many,
-            ),
+            MetricSpec("current_ratio", WEIGHT_HIGH, _eval_ratio),
             MetricSpec(
                 "cout",
                 WEIGHT_LOW,
                 _eval_cout,
                 larger_is_better=False,
-                batch_evaluate=_eval_cout_many,
             ),
         ]
 
@@ -161,18 +155,12 @@ class ActiveCurrentMirror(PmosCurrentMirror):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec(
-                "current_ratio",
-                WEIGHT_HIGH,
-                _eval_ratio,
-                batch_evaluate=_eval_ratio_many,
-            ),
+            MetricSpec("current_ratio", WEIGHT_HIGH, _eval_ratio),
             MetricSpec(
                 "cout",
                 WEIGHT_MEDIUM,
                 _eval_cout,
                 larger_is_better=False,
-                batch_evaluate=_eval_cout_many,
             ),
         ]
 
@@ -201,21 +189,13 @@ class CascodeCurrentMirror(PassiveCurrentMirror):
 
     def metrics(self) -> list[MetricSpec]:
         return [
-            MetricSpec(
-                "current_ratio",
-                WEIGHT_HIGH,
-                _eval_ratio,
-                batch_evaluate=_eval_ratio_many,
-            ),
-            MetricSpec(
-                "rout", WEIGHT_MEDIUM, _eval_rout, batch_evaluate=_eval_rout_many
-            ),
+            MetricSpec("current_ratio", WEIGHT_HIGH, _eval_ratio),
+            MetricSpec("rout", WEIGHT_MEDIUM, _eval_rout),
             MetricSpec(
                 "cout",
                 WEIGHT_LOW,
                 _eval_cout,
                 larger_is_better=False,
-                batch_evaluate=_eval_cout_many,
             ),
         ]
 
@@ -276,42 +256,3 @@ def _eval_rout(prim: PassiveCurrentMirror, dut: Circuit, cache: dict):
     tb = prim.cout_testbench(dut)
     rout = tbh.port_resistance(tb, prim.tech, "vout")
     return rout, 1
-
-
-# --- batched metric evaluators ------------------------------------------
-# Arithmetic-identical to the serial evaluators above; exceptions are
-# returned per member so evaluate_many can drop that member to the serial
-# path where the identical failure reproduces.
-
-
-def _eval_ratio_many(
-    prim: PassiveCurrentMirror, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.bias_testbench(dut) for dut in duts]
-    out: list = []
-    for op in tbh.run_op_many(tbs, prim.tech):
-        if isinstance(op, Exception):
-            out.append(op)
-        else:
-            out.append((prim.measured_ratio(op), 1))
-    return out
-
-
-def _eval_cout_many(
-    prim: PassiveCurrentMirror, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.cout_testbench(dut) for dut in duts]
-    return [
-        res if isinstance(res, Exception) else (res, 1)
-        for res in tbh.port_capacitance_many(tbs, prim.tech, "vout")
-    ]
-
-
-def _eval_rout_many(
-    prim: PassiveCurrentMirror, duts: list[Circuit], caches: list[dict]
-) -> list:
-    tbs = [prim.cout_testbench(dut) for dut in duts]
-    return [
-        res if isinstance(res, Exception) else (res, 1)
-        for res in tbh.port_resistance_many(tbs, prim.tech, "vout")
-    ]

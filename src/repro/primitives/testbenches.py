@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError, MeasureError, SingularMatrixError
+from repro.errors import MeasureError
 from repro.spice import measure
-from repro.spice.ac import ac_analysis, ac_analysis_many
-from repro.spice.dc import (
-    dc_operating_point,
-    dc_operating_points,
-    newton_operating_points,
-)
+from repro.spice.ac import ac_analysis
+from repro.spice.dc import dc_operating_point
 from repro.spice.mna import CompiledCircuit
 from repro.spice.netlist import Circuit
 from repro.spice.tran import transient
@@ -105,112 +101,6 @@ def transfer_current(
     return ac.freqs, total
 
 
-# -- batched variants ---------------------------------------------------------
-#
-# Each ``*_many`` helper measures K testbenches at once through the
-# stacked solver paths (:func:`~repro.spice.dc.dc_operating_points`,
-# :func:`~repro.spice.ac.ac_analysis_many`), with failures *captured per
-# member*: the returned list holds the serial helper's value or the
-# exception it would have raised, so one diverging member never hides
-# the rest of the batch.  Values are bitwise identical to calling the
-# serial helper per member.
-
-
-def run_op_many(tbs: list[Circuit], tech: Technology) -> list:
-    """Batched :func:`run_op`: operating point (or exception) per member."""
-    compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
-    return dc_operating_points(compileds)
-
-
-def run_ac_many(tbs: list[Circuit], tech: Technology) -> list:
-    """Batched :func:`run_ac`: ``(op, ac)`` (or exception) per member."""
-    compileds = [CompiledCircuit(tb, tech.rules) for tb in tbs]
-    ops = dc_operating_points(compileds)
-    out: list = [op if isinstance(op, Exception) else None for op in ops]
-    live = [i for i in range(len(tbs)) if out[i] is None]
-    acs = ac_analysis_many(
-        [compileds[i] for i in live],
-        [ops[i] for i in live],
-        AC_START,
-        AC_STOP,
-        AC_PPD,
-    )
-    for i, ac in zip(live, acs):
-        out[i] = ac if isinstance(ac, Exception) else (ops[i], ac)
-    return out
-
-
-def port_admittance_many(
-    tbs: list[Circuit], tech: Technology, source_name: str
-) -> list:
-    """Batched :func:`port_admittance`: ``(freqs, y)`` or exception."""
-    out: list = []
-    for res in run_ac_many(tbs, tech):
-        if isinstance(res, Exception):
-            out.append(res)
-        else:
-            _op, ac = res
-            out.append((ac.freqs, -ac.i(source_name) / 1.0))
-    return out
-
-
-def port_capacitance_many(
-    tbs: list[Circuit], tech: Technology, source_name: str
-) -> list:
-    """Batched :func:`port_capacitance`: float or exception per member."""
-    out: list = []
-    for res in port_admittance_many(tbs, tech, source_name):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        freqs, y = res
-        k = freq_index(freqs, CAP_PROBE_FREQUENCY)
-        out.append(
-            abs(float(np.imag(y[k]))) / (2.0 * np.pi * float(freqs[k]))
-        )
-    return out
-
-
-def port_resistance_many(
-    tbs: list[Circuit], tech: Technology, source_name: str
-) -> list:
-    """Batched :func:`port_resistance`: float or exception per member."""
-    out: list = []
-    for res in port_admittance_many(tbs, tech, source_name):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        freqs, y = res
-        real = float(np.real(y[0]))
-        if real < 0.0:
-            real = abs(real)
-        if real == 0.0:
-            out.append(MeasureError(f"zero real admittance at {source_name!r}"))
-            continue
-        out.append(1.0 / real)
-    return out
-
-
-def transfer_current_many(
-    tbs: list[Circuit],
-    tech: Technology,
-    out_sources: list[str],
-    signs: list[float],
-) -> list:
-    """Batched :func:`transfer_current`: ``(freqs, current)`` or exception."""
-    out: list = []
-    for res in run_ac_many(tbs, tech):
-        if isinstance(res, Exception):
-            out.append(res)
-            continue
-        _op, ac = res
-        total = np.zeros(len(ac.freqs), dtype=complex)
-        for name, sign in zip(out_sources, signs):
-            total = total + sign * ac.i(name)
-        out.append((ac.freqs, total))
-    return out
-
-
 def run_transient(
     tb: Circuit,
     tech: Technology,
@@ -247,9 +137,8 @@ class _SourceSweep:
         self.compiled: CompiledCircuit | None = None
         self.solved: list[tuple[float, np.ndarray]] = []
 
-    def prepare(self, x: float):
-        """``(compiled, rhs_src, warm)`` for a solve at ``x``; ``rhs_src``
-        is None when ``x``'s own netlist was just compiled."""
+    def solve(self, x: float):
+        """The operating point at ``x``: one :func:`dc_operating_point`."""
         tb = self.build_tb(x)
         if self.compiled is not None and self.compiled.structurally_like(tb):
             rhs = self.compiled.source_rhs_like(tb)
@@ -261,16 +150,8 @@ class _SourceSweep:
         warm = None
         if self.solved:
             warm = min(self.solved, key=lambda point: abs(point[0] - x))[1]
-        return self.compiled, rhs, warm
-
-    def record(self, x: float, op) -> None:
+        op = dc_operating_point(self.compiled, rhs_src=rhs, warm=warm)
         self.solved.append((x, op.x))
-
-    def solve(self, x: float):
-        """The operating point at ``x``: one :func:`dc_operating_point`."""
-        compiled, rhs, warm = self.prepare(x)
-        op = dc_operating_point(compiled, rhs_src=rhs, warm=warm)
-        self.record(x, op)
         return op
 
 
@@ -314,63 +195,6 @@ def dc_offset_bisection(
         lambda x: response(sweep.solve(x)), lo, hi, tolerance=_OFFSET_TOL
     )
     return _snap_offset(offset)
-
-
-def dc_offset_bisection_many(
-    build_tbs: list,
-    tech: Technology,
-    response,
-    lo: float = -0.05,
-    hi: float = 0.05,
-) -> list:
-    """Batched :func:`dc_offset_bisection`: K root searches in lock-step.
-
-    Each round solves every live member's testbench through one stacked
-    plain-Newton call, from the same compiled system, restamped source
-    vector and warm guess the serial search would use (one
-    :class:`_SourceSweep` per member).  A member plain Newton cannot
-    converge takes the serial solver's cold path, so results are
-    bitwise identical to the serial helper.
-
-    Returns one entry per member: the offset (snapped to 0.0 below the
-    search tolerance, exactly like the serial helper), or the captured
-    exception the serial helper would have raised
-    (:class:`~repro.errors.MeasureError` on a bracket without a sign
-    change, solver errors otherwise).
-    """
-    sweeps = [_SourceSweep(build_tb, tech) for build_tb in build_tbs]
-
-    def evaluate_many(indices: list[int], xs: list[float]) -> list:
-        preps = [sweeps[i].prepare(x) for i, x in zip(indices, xs)]
-        ops = newton_operating_points(
-            [compiled for compiled, _, _ in preps],
-            rhs_srcs=[
-                compiled.source_rhs(t=None, scale=1.0) if rhs is None else rhs
-                for compiled, rhs, _ in preps
-            ],
-            x0s=[warm for _, _, warm in preps],
-        )
-        out: list = []
-        for i, x, (compiled, rhs, _), op in zip(indices, xs, preps, ops):
-            if op is None:
-                # Plain Newton diverged; the serial solve would go on
-                # with its cold path from here.
-                try:
-                    op = dc_operating_point(compiled, rhs_src=rhs)
-                except (ConvergenceError, SingularMatrixError) as exc:
-                    out.append(exc)
-                    continue
-            sweeps[i].record(x, op)
-            out.append(response(op))
-        return out
-
-    roots = measure.find_dc_zero_many(
-        evaluate_many, len(build_tbs), lo, hi, tolerance=_OFFSET_TOL
-    )
-    return [
-        root if isinstance(root, Exception) else _snap_offset(root)
-        for root in roots
-    ]
 
 
 def solve_gate_bias(

@@ -12,7 +12,6 @@ See ``docs/robustness.md`` for the failure-code catalog and the
 degradation ladder.
 """
 
-from repro.runtime.batched import BatchSpec, resolve_batch
 from repro.runtime.checkpoint import SweepJournal
 from repro.runtime.evalcache import (
     EvalCache,
@@ -51,7 +50,6 @@ __all__ = [
     "FAILURE_CODES",
     "SINGULAR_MNA",
     "WORKER_LOST",
-    "BatchSpec",
     "BatchTask",
     "EvalBatch",
     "EvalCache",
@@ -73,6 +71,5 @@ __all__ = [
     "inject",
     "is_eval_failure",
     "register_flushable",
-    "resolve_batch",
     "resolve_jobs",
 ]

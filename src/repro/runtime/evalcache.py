@@ -130,10 +130,14 @@ def analysis_signature(primitive) -> dict:
     bias calibration), so that state — plus the metric list and the
     technology's supply — is part of the cache key.  So is the DC root
     finder behind offset and gate-bias measurements: entries another
-    method measured miss instead of being served next to this one's.
+    method measured miss instead of being served next to this one's, and
+    the transient stepper (``REPRO_STEPPER``), which moves every
+    transient metric.
     The primitive's *instance name* is excluded: two differently-named
     instances with identical state measure identically.
     """
+    from repro.spice.tran import resolve_stepper  # deferred: import cycle
+
     scalars = {
         k: _canon(v)
         for k, v in sorted(vars(primitive).items())
@@ -147,6 +151,7 @@ def analysis_signature(primitive) -> dict:
         "metrics": [[m.name, _canon(m.weight)] for m in primitive.metrics()],
         "vdd": _canon(float(getattr(primitive.tech, "vdd", 0.0))),
         "root_finder": ROOT_FINDER,
+        "stepper": resolve_stepper(),
     }
 
 

@@ -314,8 +314,6 @@ class ParallelEvalRuntime(EvalRuntime):
 
     def evaluate_batch(self, tasks: list[BatchTask], stage: str) -> EvalBatch:
         if self.jobs <= 1:
-            # Serial worker-wise, but the vectorized --batch fast path
-            # (EvalRuntime.evaluate_batch) may still engage.
             return super().evaluate_batch(tasks, stage)
         pending = [
             i

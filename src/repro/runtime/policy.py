@@ -98,11 +98,6 @@ class BatchTask:
     returns them for deterministic re-raise at consumption instead of
     treating them as evaluation failures.
 
-    ``batch_spec`` (a :class:`~repro.runtime.batched.BatchSpec`, when the
-    call site can describe the evaluation as build-circuit + simulate +
-    finish) opts the task into the vectorized multi-variant fast path of
-    :mod:`repro.runtime.batched`; tasks without one always run their
-    ``thunk`` serially.
     """
 
     key: str
@@ -112,7 +107,6 @@ class BatchTask:
     from_payload: Callable[[dict], Any] | None = None
     retries: int | None = None
     absorb: tuple[type, ...] = ()
-    batch_spec: Any | None = None
 
 
 class EvalBatch:
@@ -175,19 +169,12 @@ class EvalRuntime:
         failures: FailureLog | None = None,
         clock: Callable[[], float] = time.monotonic,
         cache: Any | None = None,
-        batch: int | None = None,
     ):
-        from repro.runtime.batched import resolve_batch  # deferred: cycle
-
         self.policy = policy or RetryPolicy()
         self.journal = journal
         self.failures = failures if failures is not None else FailureLog()
         self.clock = clock
         self.cache = cache
-        #: Vectorized-sweep width: how many same-pattern variants one
-        #: stacked solve covers (``--batch`` / ``REPRO_BATCH``; 1
-        #: disables the fast path).
-        self.batch = resolve_batch(batch)
         self._stage_total: Counter = Counter()
         self._stage_failed: Counter = Counter()
         #: Evaluations answered from the journal without re-simulating.
@@ -352,16 +339,8 @@ class EvalRuntime:
 
         The caller must :meth:`~EvalBatch.consume` results in the same
         order a serial loop would evaluate them, and may stop early.
-        The base runtime evaluates lazily at consumption — unless
-        :attr:`batch` > 1 and the tasks carry batch specs, in which case
-        the vectorized fast path of :mod:`repro.runtime.batched` engages
-        (byte-identical results; see docs/performance.md).  See
+        The base runtime evaluates lazily at consumption.  See
         :class:`~repro.runtime.parallel.ParallelEvalRuntime` for the
         process-pool override.
         """
-        from repro.runtime.batched import maybe_batched  # deferred: cycle
-
-        fast = maybe_batched(self, tasks, stage)
-        if fast is not None:
-            return fast
         return EvalBatch(self, tasks, stage)

@@ -185,105 +185,3 @@ def ac_analysis(
             ) from exc
 
     return AcResult(compiled=compiled, freqs=freqs, solutions=solutions)
-
-
-def ac_analysis_many(
-    compileds: list[CompiledCircuit],
-    ops: list[OperatingPoint],
-    f_start: float = 1.0e3,
-    f_stop: float = 1.0e11,
-    points_per_decade: int = 10,
-    solver: str | None = None,
-) -> list:
-    """Batched :func:`ac_analysis` over many (circuit, bias) pairs.
-
-    Dense-backend members of equal size are stacked into one
-    ``(K, nfreq, N, N)`` array and solved with a single batched LAPACK
-    call — the once-per-sweep G/C split is still assembled per member,
-    only the frequency loop is fused — which is bitwise identical to the
-    serial per-frequency solves.  Sparse-backend members (and any member
-    whose stacked slice comes back singular or non-finite) run through
-    the serial :func:`ac_analysis` unchanged.
-
-    Failures are captured per member: the returned list holds an
-    :class:`AcResult` or the exception the serial call would have raised
-    (:class:`~repro.errors.SingularMatrixError`).
-    """
-    results: list = [None] * len(compileds)
-    if not compileds:
-        return results
-
-    def serial(i: int) -> None:
-        try:
-            results[i] = ac_analysis(
-                compileds[i], ops[i], f_start, f_stop,
-                points_per_decade, solver,
-            )
-        except SingularMatrixError as exc:
-            results[i] = exc
-
-    groups: dict[int, list[int]] = {}
-    for i, compiled in enumerate(compileds):
-        if kernel.backend_for(compiled.size, solver) == kernel.SPARSE:
-            serial(i)
-        else:
-            groups.setdefault(compiled.size, []).append(i)
-
-    if f_start <= 0 or f_stop <= f_start:
-        raise SimulationError("need 0 < f_start < f_stop")
-    if points_per_decade < 1:
-        raise SimulationError("points_per_decade must be >= 1")
-    decades = np.log10(f_stop / f_start)
-    n_points = max(2, int(np.ceil(decades * points_per_decade)) + 1)
-    freqs = np.logspace(np.log10(f_start), np.log10(f_stop), n_points)
-    omegas = 2.0 * np.pi * freqs
-    stats = kernel.active()
-
-    for size in sorted(groups):
-        members = groups[size]
-        if stats is not None:
-            for _ in members:
-                stats.count_analysis("ac")
-        g = np.stack([_dense_ac_parts(compileds[i], ops[i])[0] for i in members])
-        sus = np.stack(
-            [_dense_ac_parts(compileds[i], ops[i])[1] for i in members]
-        )
-        rhs = np.stack([compileds[i].ac_source_rhs()[:size] for i in members])
-        # Chunk over members so the (K, F, N, N) stack stays bounded.
-        bytes_per_member = len(freqs) * size * size * 16
-        chunk = max(1, int(128e6 // max(1, bytes_per_member)))
-        for start in range(0, len(members), chunk):
-            part = members[start : start + chunk]
-            gk = g[start : start + chunk]
-            sk = sus[start : start + chunk]
-            bk = rhs[start : start + chunk]
-            if stats is not None:
-                t0 = kernel._clock()
-            a = (
-                gk[:, None, :, :]
-                + (1j * omegas)[None, :, None, None] * sk[:, None, :, :]
-            )
-            try:
-                x = np.linalg.solve(a, bk[:, None, :, None])[..., 0]
-                finite = np.all(np.isfinite(x), axis=(1, 2))
-            except np.linalg.LinAlgError:
-                x = None
-                finite = np.zeros(len(part), dtype=bool)
-            clean = int(np.count_nonzero(finite))
-            if stats is not None:
-                stats.solve_s += kernel._clock() - t0
-                stats.solves += clean * len(freqs)
-                stats.backends[kernel.DENSE] = (
-                    stats.backends.get(kernel.DENSE, 0) + clean * len(freqs)
-                )
-                stats.batched_solves += 1
-                stats.batch_members += len(part) * len(freqs)
-                stats.batch_fallbacks += (len(part) - clean) * len(freqs)
-            for j, i in enumerate(part):
-                if finite[j]:
-                    results[i] = AcResult(
-                        compiled=compileds[i], freqs=freqs, solutions=x[j]
-                    )
-                else:
-                    serial(i)
-    return results

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.devices.mosfet import MosEval, evaluate_mosfets
+from repro.devices.mosfet import MosEval
 from repro.errors import ConvergenceError, NetlistError, SingularMatrixError
 from repro.runtime import context as eval_context
 from repro.runtime import faults
@@ -408,336 +408,6 @@ def _finish(
         mos_eval=compiled.eval_mosfets(x),
         recovery=tags,
     )
-
-
-# -- batched operating points -------------------------------------------------
-#
-# Library selection sweeps evaluate many near-identical variants whose
-# netlists share one system pattern — only device values differ.  The
-# helpers below stamp K such circuits into one
-# :class:`~repro.spice.kernel.BatchedSystemTemplate` and run damped
-# Newton across the batch in lockstep with per-member masking: converged
-# members freeze, stragglers keep iterating, and every per-member
-# floating-point operation (damping dot product, voltage limiting,
-# convergence test) replays the serial :func:`_newton_solve` exactly, so
-# results are bitwise identical to one-at-a-time solves.
-
-
-class _DcGroup:
-    """One template-compatible slice of a batch, stacked for solving."""
-
-    def __init__(
-        self,
-        indices: list[int],
-        compileds: list[CompiledCircuit],
-        templates: list["kernel.SystemTemplate"],
-    ):
-        self.indices = indices
-        self.compileds = compileds
-        self.batched = kernel.BatchedSystemTemplate(templates)
-        first = compileds[0]
-        self.num_nodes = first.num_nodes
-        self.size = first.size
-        self.num_devices = len(first.mos_elements)
-        if self.num_devices:
-            stack = lambda name: np.stack(  # noqa: E731 - tiny local adapter
-                [getattr(c, name) for c in compileds]
-            )
-            self._params = tuple(
-                stack(name)
-                for name in (
-                    "_mos_pol", "_mos_vth", "_mos_n", "_mos_ispec",
-                    "_mos_lam", "_mos_theta", "_mos_coxwl", "_mos_cov",
-                    "_mos_cdb", "_mos_csb",
-                )
-            )
-            self._mos_g = first._mos_g
-            self._mos_d = first._mos_d
-            self._mos_s = first._mos_s
-
-    def eval_mosfets(self, x: np.ndarray, act: np.ndarray) -> MosEval | None:
-        """Evaluate the active members' MOSFETs in one vectorized call.
-
-        ``x`` is the ``(len(act), size)`` stacked solution of the
-        still-live members, ``act`` their row indices into the group;
-        the model is purely elementwise, so evaluating the stacked
-        devices gives the same per-device values as serial calls.
-        """
-        if not self.num_devices:
-            return None
-        stats = kernel.active()
-        t0 = kernel._clock() if stats is not None else 0.0
-        xg = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
-        ev = evaluate_mosfets(
-            *(p[act] for p in self._params),
-            xg[:, self._mos_g],
-            xg[:, self._mos_d],
-            xg[:, self._mos_s],
-        )
-        if stats is not None:
-            stats.device_eval_s += kernel._clock() - t0
-        return ev
-
-
-def _group_batch(
-    compileds: list[CompiledCircuit], solver: str | None
-) -> list[_DcGroup]:
-    """Partition a batch into template-compatible groups (order kept)."""
-    groups: list[list[int]] = []
-    templates: list["kernel.SystemTemplate"] = []
-    for i, compiled in enumerate(compileds):
-        backend = kernel.backend_for(compiled.size, solver)
-        template = _dc_template(compiled, backend)
-        templates.append(template)
-        for members in groups:
-            if kernel.templates_compatible(templates[members[0]], template):
-                members.append(i)
-                break
-        else:
-            groups.append([i])
-    return [
-        _DcGroup(
-            members,
-            [compileds[i] for i in members],
-            [templates[i] for i in members],
-        )
-        for members in groups
-    ]
-
-
-def _newton_solve_batch(
-    group: _DcGroup,
-    x0: np.ndarray,
-    rhs_src: np.ndarray,
-    max_iterations: int,
-    recovery_sets: list[set],
-) -> list[np.ndarray | None]:
-    """Plain damped Newton over one group, masked per member.
-
-    ``x0``/``rhs_src`` are ``(K, size)`` / ``(K, size+1)`` stacks;
-    ``recovery_sets`` collects per-member ``"tikhonov"`` tags.  Returns
-    the per-member solution or None (diverged / singular), exactly as K
-    serial :func:`_newton_solve` calls with ``gmin=0`` would.
-    """
-    count = len(group.indices)
-    nn = group.num_nodes
-    stats = kernel.active()
-
-    x = x0.copy()
-    diag = np.full((count, nn), GMIN_FLOOR)
-    limit = np.full(count, VOLTAGE_LIMIT)
-    prev_dv: np.ndarray | None = None
-    has_prev = np.zeros(count, dtype=bool)
-    live = np.ones(count, dtype=bool)
-    failed = np.zeros(count, dtype=bool)
-    solutions: list[np.ndarray | None] = [None] * count
-    dyn = np.zeros((count, nn + 6 * group.num_devices))
-    rhs = np.zeros_like(rhs_src)
-
-    for _ in range(max_iterations):
-        act = np.flatnonzero(live)
-        if not len(act):
-            break
-        if stats is not None:
-            stats.newton_iterations += len(act)
-
-        x_act = x[act]
-        ev = group.eval_mosfets(x_act, act)
-        if ev is not None:
-            xg = np.concatenate([x_act, np.zeros((len(act), 1))], axis=1)
-            d, g, s = group._mos_d, group._mos_g, group._mos_s
-            gms = ev.gms
-            ieq = (
-                ev.ids
-                - ev.gm * xg[:, g]
-                - ev.gds * xg[:, d]
-                - gms * xg[:, s]
-            )
-            member = np.arange(len(act))[:, None]
-            rhs_act = rhs_src[act].copy()
-            np.add.at(rhs_act, (member, d[None, :]), -ieq)
-            np.add.at(rhs_act, (member, s[None, :]), ieq)
-            rhs[act] = rhs_act
-            dyn[act] = np.concatenate(
-                [diag[act], ev.gds, ev.gm, gms, -ev.gds, -ev.gm, -gms],
-                axis=1,
-            )
-        else:
-            rhs[act] = rhs_src[act]
-            dyn[act] = diag[act]
-
-        x_new, recoveries, errors = group.batched.solve(dyn, rhs, live)
-        for k in act:
-            k = int(k)
-            if errors[k] is not None:
-                # The serial path bails out of plain Newton here so the
-                # homotopies get their chance; mask the member out.
-                live[k] = False
-                failed[k] = True
-            elif recoveries[k] is not None:
-                recovery_sets[k].add(recoveries[k])
-        act = np.flatnonzero(live)
-        if not len(act):
-            break
-
-        delta = x_new[act] - x[act]
-        dv = delta[:, :nn]
-        max_dv = (
-            np.max(np.abs(dv), axis=1) if nn else np.zeros(len(act))
-        )
-
-        # Oscillation-aware damping, per member (same scalar ops as the
-        # serial loop; the dot product stays a per-row 1-D np.dot so the
-        # summation order matches the serial path bitwise).
-        flips = np.zeros(len(act), dtype=bool)
-        if nn and prev_dv is not None:
-            for j, k in enumerate(act):
-                if has_prev[k] and float(np.dot(dv[j], prev_dv[k])) < 0.0:
-                    flips[j] = True
-        limit[act] = np.where(
-            flips,
-            np.maximum(0.01, limit[act] * 0.6),
-            np.minimum(VOLTAGE_LIMIT, limit[act] * 1.3),
-        )
-        if prev_dv is None:
-            prev_dv = np.zeros((count, nn))
-        prev_dv[act] = dv
-        has_prev[act] = True
-
-        over = max_dv > limit[act]
-        scale = np.where(over, limit[act] / np.where(max_dv > 0, max_dv, 1.0), 1.0)
-        x[act] = np.where(
-            over[:, None], x[act] + delta * scale[:, None], x_new[act]
-        )
-
-        vmax = (
-            np.max(np.abs(x_new[act][:, :nn]), axis=1, initial=0.0)
-            if nn
-            else np.zeros(len(act))
-        )
-        converged = ~over & (max_dv < VNTOL + RELTOL * vmax)
-        for j, k in enumerate(act):
-            if converged[j]:
-                k = int(k)
-                solutions[k] = x[k].copy()
-                live[k] = False
-    return solutions
-
-
-def newton_operating_points(
-    compileds: list[CompiledCircuit],
-    rhs_srcs: list[np.ndarray] | None = None,
-    x0s: list[np.ndarray | None] | None = None,
-    solver: str | None = None,
-) -> list[OperatingPoint | None]:
-    """Plain-Newton operating points for a batch of circuits.
-
-    The batched half of :func:`dc_operating_points`: groups the circuits
-    by template compatibility, runs the masked lockstep Newton per
-    group, and finishes converged members into
-    :class:`OperatingPoint` objects (with any ``"tikhonov"`` tag
-    collected along the way).  Members that plain Newton cannot converge
-    come back as None — the caller owns the gmin/source-stepping ladder
-    (usually by falling back to the serial :func:`dc_operating_point`,
-    which replays the identical failing trajectory first).
-
-    ``rhs_srcs`` optionally overrides each member's DC source vector
-    (``compiled.source_rhs(t=None)`` layout) and ``x0s`` its starting
-    guess — the compile-once, warm-started path of the batched offset
-    search, where successive inputs change only source values.  No
-    fault injection, ``force`` pins or retry perturbation here: callers
-    gate on those being absent.
-    """
-    stats = kernel.active()
-    results: list[OperatingPoint | None] = [None] * len(compileds)
-    if not compileds:
-        return results
-    for group in _group_batch(compileds, solver):
-        count = len(group.indices)
-        if stats is not None:
-            for _ in range(count):
-                stats.count_analysis("dc")
-        x0 = np.stack(
-            [
-                np.zeros(group.size)
-                if x0s is None or x0s[i] is None
-                else np.asarray(x0s[i], dtype=float)
-                for i in group.indices
-            ]
-        )
-        rhs = np.stack(
-            [
-                group.compileds[j].source_rhs(t=None, scale=1.0)
-                if rhs_srcs is None
-                else np.asarray(rhs_srcs[i], dtype=float)
-                for j, i in enumerate(group.indices)
-            ]
-        )
-        recovery_sets: list[set] = [set() for _ in range(count)]
-        max_iterations = _effective_max_iterations(group.compileds[0], None)
-        solutions = _newton_solve_batch(
-            group, x0, rhs, max_iterations, recovery_sets
-        )
-        for j, i in enumerate(group.indices):
-            if solutions[j] is not None:
-                results[i] = _finish(
-                    group.compileds[j], solutions[j], recovery_sets[j]
-                )
-    return results
-
-
-def dc_operating_points(
-    compileds: list[CompiledCircuit],
-    x0s: list[np.ndarray | None] | None = None,
-    force: dict[str, float] | None = None,
-    solver: str | None = None,
-) -> list[OperatingPoint | Exception]:
-    """Batched :func:`dc_operating_point` over many circuits.
-
-    Bitwise-identical to calling :func:`dc_operating_point` per member:
-    the vectorized lockstep Newton handles the common case, and any
-    member it cannot converge (or any batch run under fault injection,
-    ``force`` pins or a retry perturbation) goes through the serial path
-    unchanged.  Failures are *captured per member* — the returned list
-    holds an :class:`OperatingPoint` or the exception the serial call
-    would have raised (:class:`~repro.errors.ConvergenceError` /
-    :class:`~repro.errors.SingularMatrixError`), so one diverging member
-    does not hide the others' results; callers re-raise at the member
-    position when they want serial raise semantics.
-    """
-    ctx = eval_context.current()
-    serial_only = (
-        faults.active() is not None
-        or bool(force)
-        or (
-            ctx is not None
-            and (
-                ctx.perturbation > 0.0
-                # The lockstep kernel sizes its own budget; an explicit
-                # per-evaluation budget must be honored serially.
-                or ctx.newton_max_iterations is not None
-            )
-        )
-    )
-    results: list[OperatingPoint | Exception] = [None] * len(compileds)  # type: ignore[list-item]
-    if serial_only:
-        batched = [None] * len(compileds)
-    else:
-        batched = newton_operating_points(compileds, x0s=x0s, solver=solver)
-    for i, compiled in enumerate(compileds):
-        if batched[i] is not None:
-            results[i] = batched[i]
-            continue
-        try:
-            results[i] = dc_operating_point(
-                compiled,
-                x0=None if x0s is None else x0s[i],
-                force=force,
-                solver=solver,
-            )
-        except (ConvergenceError, SingularMatrixError) as exc:
-            results[i] = exc
-    return results
 
 
 def dc_sweep(

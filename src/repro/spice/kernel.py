@@ -134,15 +134,10 @@ class SolverStats:
             factorization (the step-invariant linear part).
         tran_steps: Accepted transient steps.
         tran_rejected: Transient steps rejected by the LTE controller or
-            a Newton failure (each retried at half the step).
+            a Newton failure under either stepper (each retried at half
+            the step).
         tran_fixed_steps: Steps the fixed-step baseline would have taken
             for the same analyses (``round(t_stop / dt)`` summed).
-        batched_solves: Stacked solve calls issued by a
-            :class:`BatchedSystemTemplate` (one per lockstep iteration,
-            however many members it covered).
-        batch_members: Member systems served by those stacked calls.
-        batch_fallbacks: Members a stacked call handed to the
-            per-member fallback (singular/non-finite slices).
         analyses: Analysis invocation counts keyed ``"dc"``/``"ac"``/
             ``"tran"``.
         backends: Solve counts keyed by backend (``"dense"``/``"sparse"``).
@@ -159,9 +154,6 @@ class SolverStats:
     tran_steps: int = 0
     tran_rejected: int = 0
     tran_fixed_steps: int = 0
-    batched_solves: int = 0
-    batch_members: int = 0
-    batch_fallbacks: int = 0
     analyses: dict[str, int] = field(default_factory=dict)
     backends: dict[str, int] = field(default_factory=dict)
 
@@ -184,9 +176,6 @@ class SolverStats:
         self.tran_steps += other.tran_steps
         self.tran_rejected += other.tran_rejected
         self.tran_fixed_steps += other.tran_fixed_steps
-        self.batched_solves += other.batched_solves
-        self.batch_members += other.batch_members
-        self.batch_fallbacks += other.batch_fallbacks
         for key, count in other.analyses.items():
             self.analyses[key] = self.analyses.get(key, 0) + count
         for key, count in other.backends.items():
@@ -206,9 +195,6 @@ class SolverStats:
             "tran_steps": self.tran_steps,
             "tran_rejected": self.tran_rejected,
             "tran_fixed_steps": self.tran_fixed_steps,
-            "batched_solves": self.batched_solves,
-            "batch_members": self.batch_members,
-            "batch_fallbacks": self.batch_fallbacks,
             "analyses": dict(sorted(self.analyses.items())),
             "backends": dict(sorted(self.backends.items())),
         }
@@ -233,9 +219,6 @@ class SolverStats:
             "tran_steps",
             "tran_rejected",
             "tran_fixed_steps",
-            "batched_solves",
-            "batch_members",
-            "batch_fallbacks",
         ):
             if name in data:
                 setattr(stats, name, data[name])
@@ -434,11 +417,10 @@ class SystemTemplate:
         # Data vector has one extra trash slot so ghost-touching stamps
         # vectorize without branches.
         n_static = len(s_vals)
-        self._static_slots = slots[:n_static]
         self._dyn_slots = slots[n_static:]
         static_data = np.zeros(nnz + 1, dtype=self.dtype)
         if n_static:
-            np.add.at(static_data, self._static_slots, s_vals)
+            np.add.at(static_data, slots[:n_static], s_vals)
         self._static_data = static_data
 
     # -- assembly -------------------------------------------------------
@@ -589,185 +571,6 @@ class SystemTemplate:
             lambda rhs: lu.solve(np.asarray(rhs[: self.size], dtype=self.dtype)),
             SPARSE,
         )
-
-
-def templates_compatible(a: SystemTemplate, b: SystemTemplate) -> bool:
-    """Whether two templates can share one :class:`BatchedSystemTemplate`.
-
-    Compatible means: same size, backend, dtype and identical symbolic
-    structure (dynamic-slot pattern, and on the sparse backend the CSC
-    pattern and scatter maps).  Static *values* may differ — each batch
-    member keeps its own static data — but the static entry pattern must
-    line up so the member scatter maps coincide.
-    """
-    if (
-        a.size != b.size
-        or a.backend != b.backend
-        or a.dtype != b.dtype
-        or not np.array_equal(a._dyn_rows, b._dyn_rows)
-        or not np.array_equal(a._dyn_cols, b._dyn_cols)
-    ):
-        return False
-    if a.backend == SPARSE:
-        return (
-            a._nnz == b._nnz
-            and np.array_equal(a._indices, b._indices)
-            and np.array_equal(a._indptr, b._indptr)
-            and np.array_equal(a._static_slots, b._static_slots)
-            and np.array_equal(a._dyn_slots, b._dyn_slots)
-        )
-    return a._base.shape == b._base.shape
-
-
-class BatchedSystemTemplate:
-    """K same-pattern MNA systems stamped and solved as one stack.
-
-    Built from K pairwise-:func:`templates_compatible`
-    :class:`SystemTemplate` objects — same symbolic structure, per-member
-    static values (parasitics differ across library variants even when
-    the pattern matches).  :meth:`solve` stamps all *active* members into
-    a stacked ``(K, N, N)`` dense array (or a ``(K, nnz+1)`` data block of
-    the shared CSC pattern, i.e. a block-diagonal sparse system) and
-    solves them together.
-
-    Determinism contract: for every member the result is **bitwise
-    identical** to solving its own template serially.  The dense path
-    relies on LAPACK ``gesv`` applying the same factorization per slice
-    of a stacked batch as for a single system (asserted by
-    ``tests/spice/test_kernel.py``); the sparse path factors per member
-    on the shared symbolic pattern, exactly like the serial
-    :meth:`SystemTemplate.solve_data`.  Members whose slice is singular
-    or non-finite are re-solved through the serial fallback
-    (:func:`solve_dense` / :meth:`SystemTemplate.solve_data`), which
-    preserves the ``"tikhonov"`` recovery tag and the failure taxonomy
-    (:class:`SingularMatrixError` is *captured per member*, never raised
-    for the batch).
-    """
-
-    def __init__(self, templates: list[SystemTemplate]):
-        if not templates:
-            raise SimulationError("batched template needs at least one member")
-        first = templates[0]
-        for other in templates[1:]:
-            if not templates_compatible(first, other):
-                raise SimulationError(
-                    "batched template members must share one system pattern"
-                )
-        self.templates = list(templates)
-        self.count = len(templates)
-        self.size = first.size
-        self.dtype = first.dtype
-        self.backend = first.backend
-        self._dyn_rows = first._dyn_rows
-        self._dyn_cols = first._dyn_cols
-        if self.backend == DENSE:
-            self._base = np.stack([t._base for t in templates])
-        else:
-            self._static_data = np.stack([t._static_data for t in templates])
-
-    def solve(
-        self,
-        dyn_vals: np.ndarray,
-        rhs: np.ndarray,
-        active: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[str | None], list[SingularMatrixError | None]]:
-        """Solve the active members against their right-hand sides.
-
-        Args:
-            dyn_vals: ``(K, D)`` dynamic values, one row per member.
-            rhs: ``(K, >=size)`` right-hand sides (ghost column allowed).
-            active: Optional ``(K,)`` boolean mask — inactive (converged
-                or failed) members are skipped and their output row left
-                at zero.
-
-        Returns:
-            ``(x, recoveries, errors)``: the ``(K, size)`` solution
-            stack, a per-member recovery tag (``None`` or
-            ``"tikhonov"``), and a per-member captured
-            :class:`SingularMatrixError` (``None`` on success).
-        """
-        dyn_vals = np.asarray(dyn_vals, dtype=self.dtype)
-        x_out = np.zeros((self.count, self.size), dtype=self.dtype)
-        recoveries: list[str | None] = [None] * self.count
-        errors: list[SingularMatrixError | None] = [None] * self.count
-        if active is None:
-            idx = np.arange(self.count)
-        else:
-            idx = np.flatnonzero(active)
-        if not len(idx):
-            return x_out, recoveries, errors
-        if self.backend == DENSE:
-            self._solve_dense(dyn_vals, rhs, idx, x_out, recoveries, errors)
-        else:
-            self._solve_sparse(dyn_vals, rhs, idx, x_out, recoveries, errors)
-        return x_out, recoveries, errors
-
-    def _solve_dense(self, dyn_vals, rhs, idx, x_out, recoveries, errors) -> None:
-        stats = active()
-        if stats is not None:
-            t0 = _clock()
-        a_full = self._base[idx]  # fancy indexing copies
-        if len(self._dyn_rows):
-            member = np.arange(len(idx))[:, None]
-            np.add.at(
-                a_full,
-                (member, self._dyn_rows[None, :], self._dyn_cols[None, :]),
-                dyn_vals[idx],
-            )
-        a = a_full[:, : self.size, : self.size]
-        b = np.asarray(rhs, dtype=self.dtype)[idx, : self.size]
-        if stats is not None:
-            t1 = _clock()
-            stats.stamp_s += t1 - t0
-        fallback = np.ones(len(idx), dtype=bool)
-        try:
-            x = np.linalg.solve(a, b[..., None])[..., 0]
-            fallback = ~np.all(np.isfinite(x), axis=1)
-            x_out[idx[~fallback]] = x[~fallback]
-        except np.linalg.LinAlgError:
-            # One singular slice fails the whole LAPACK batch; redo every
-            # member through the serial path so clean members still get
-            # their (bitwise identical) direct solutions.
-            pass
-        clean = int(np.count_nonzero(~fallback))
-        if stats is not None:
-            stats.solve_s += _clock() - t1
-            stats.solves += clean
-            stats.batched_solves += 1
-            stats.batch_members += len(idx)
-            stats.batch_fallbacks += len(idx) - clean
-            for _ in range(clean):
-                stats.count_backend(DENSE)
-        for j in np.flatnonzero(fallback):
-            k = int(idx[j])
-            try:
-                x_out[k], recoveries[k] = solve_dense(a[j], b[j])
-            except SingularMatrixError as exc:
-                errors[k] = exc
-
-    def _solve_sparse(self, dyn_vals, rhs, idx, x_out, recoveries, errors) -> None:
-        stats = active()
-        if stats is not None:
-            t0 = _clock()
-        data = self._static_data[idx].copy()
-        first = self.templates[0]
-        if len(first._dyn_slots):
-            member = np.arange(len(idx))[:, None]
-            np.add.at(data, (member, first._dyn_slots[None, :]), dyn_vals[idx])
-        if stats is not None:
-            stats.stamp_s += _clock() - t0
-            stats.batched_solves += 1
-            stats.batch_members += len(idx)
-        for j, k in enumerate(idx):
-            k = int(k)
-            try:
-                x_out[k], recoveries[k] = self.templates[k].solve_data(
-                    data[j], rhs[k]
-                )
-            except SingularMatrixError as exc:
-                errors[k] = exc
-                if stats is not None:
-                    stats.batch_fallbacks += 1
 
 
 def coo_matvec(

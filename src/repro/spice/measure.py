@@ -335,94 +335,33 @@ def find_dc_zero(
 
     ``evaluate`` maps a scalar input (e.g. differential input voltage) to a
     scalar response (e.g. differential output current); the root of the
-    response in ``[lo, hi]`` is returned.  This is the one-member case of
-    :func:`find_dc_zero_many` (which documents the method); exceptions
-    raised by ``evaluate`` propagate, and a bracket without a sign change
-    raises :class:`~repro.errors.MeasureError`.
-    """
-    (root,) = find_dc_zero_many(
-        lambda _indices, xs: [evaluate(x) for x in xs],
-        1,
-        lo,
-        hi,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-    )
-    if isinstance(root, Exception):
-        raise root
-    return root
+    response in ``[lo, hi]`` is returned.
 
-
-def find_dc_zero_many(
-    evaluate_many,
-    count: int,
-    lo: float,
-    hi: float,
-    tolerance: float = 1e-7,
-    max_iterations: int = 60,
-) -> list:
-    """Lock-step bracketed root finding across many members.
-
-    ``evaluate_many(indices, xs)`` evaluates member ``indices[j]`` at
-    input ``xs[j]`` for all entries at once — the hook where the batched
-    solver stack earns its keep — and returns, per entry, the float
-    response or a captured exception.
-
-    Per member: both ends of ``[lo, hi]`` are evaluated (``lo`` first);
-    an exact zero at an end returns that end, and ends of equal sign
-    give a :class:`~repro.errors.MeasureError`.  Otherwise the bracket is
-    refined by Brent's method (:class:`_Bracket`) until a point evaluates
-    to exactly zero or the bracket is narrower than ``tolerance`` (or
+    Both ends of ``[lo, hi]`` are evaluated (``lo`` first); an exact zero
+    at an end returns that end, and ends of equal sign raise a
+    :class:`~repro.errors.MeasureError`.  Otherwise the bracket is refined
+    by Brent's method (:class:`_Bracket`) until a point evaluates to
+    exactly zero or the bracket is narrower than ``tolerance`` (or
     ``max_iterations`` steps have run), and its best point is returned.
-    Members never interact, so each root is bitwise what a one-member
-    call returns.  A member whose evaluation raised — or whose bracket
-    holds no sign change — carries the exception in the returned list
-    instead of a root.
+    Exceptions raised by ``evaluate`` propagate.
     """
-    results: list = [None] * count
-    f_los: list = [None] * count
-    live = list(range(count))
-    for i, fv in zip(live, evaluate_many(live, [lo] * len(live))):
-        if isinstance(fv, Exception):
-            results[i] = fv
-        else:
-            f_los[i] = fv
-    live = [i for i in live if results[i] is None]
-    brackets: dict[int, _Bracket] = {}
-    for i, fv in zip(live, evaluate_many(live, [hi] * len(live))):
-        if isinstance(fv, Exception):
-            results[i] = fv
-        elif f_los[i] == 0.0:
-            results[i] = lo
-        elif fv == 0.0:
-            results[i] = hi
-        elif f_los[i] * fv > 0:
-            results[i] = MeasureError(
-                f"no sign change in [{lo:.4g}, {hi:.4g}] "
-                f"(f={f_los[i]:.4g} .. {fv:.4g})"
-            )
-        else:
-            brackets[i] = _Bracket(lo, hi, f_los[i], fv, tolerance)
-            if brackets[i].settle():
-                results[i] = brackets[i].b
-    live = [i for i in brackets if results[i] is None]
-
+    f_lo = evaluate(lo)
+    f_hi = evaluate(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0:
+        raise MeasureError(
+            f"no sign change in [{lo:.4g}, {hi:.4g}] "
+            f"(f={f_lo:.4g} .. {f_hi:.4g})"
+        )
+    bracket = _Bracket(lo, hi, f_lo, f_hi, tolerance)
+    if bracket.settle():
+        return bracket.b
     for _ in range(max_iterations):
-        if not live:
+        fv = evaluate(bracket.step())
+        bracket.fb = fv
+        if fv == 0.0 or bracket.settle():
             break
-        xs = [brackets[i].step() for i in live]
-        survivors = []
-        for i, fv in zip(live, evaluate_many(live, xs)):
-            if isinstance(fv, Exception):
-                results[i] = fv
-                continue
-            bracket = brackets[i]
-            bracket.fb = fv
-            if fv == 0.0 or bracket.settle():
-                results[i] = bracket.b
-            else:
-                survivors.append(i)
-        live = survivors
-    for i in live:
-        results[i] = brackets[i].b
-    return results
+    return bracket.b

@@ -295,6 +295,9 @@ class _Integrator:
                 f"{MAX_STEP_HALVINGS} halvings",
                 code="CONV-TRAN",
             )
+        stats = kernel.active()
+        if stats is not None:
+            stats.tran_rejected += 1
         half = dt / 2.0
         x_mid, xdot_mid = self.advance(x_prev, xdot_prev, t_prev, half, depth + 1)
         return self.advance(x_mid, xdot_mid, t_prev + half, half, depth + 1)

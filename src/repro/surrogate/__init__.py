@@ -7,7 +7,7 @@ only the predicted top-k plus an exploration budget.  Predictions decide
 *order and pruning only*: every reported metric comes from real
 simulation, pruned candidates are journaled as ``pruned`` (never as
 failures), and all decisions are deterministic for a fixed corpus across
-``--jobs``/``--batch`` and resume.  See :mod:`repro.surrogate.guide`.
+``--jobs`` and resume.  See :mod:`repro.surrogate.guide`.
 """
 
 from repro.surrogate.corpus import CorpusRow, CorpusStore

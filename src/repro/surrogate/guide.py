@@ -16,7 +16,7 @@ Decisions are deterministic for a fixed corpus: models are trained
 lazily, once per (family, stage), from the corpus **as loaded at run
 start**; rows recorded during the run take effect on the *next* run
 (flushed at run boundaries only).  Exploration draws are seeded from the
-candidate key set, so any ``--jobs``/``--batch`` value — and a resumed
+candidate key set, so any ``--jobs`` value — and a resumed
 run — makes identical choices.  Selection plans are computed over the
 full candidate set (journaled candidates included) before journal
 overrides apply, so a run killed mid-plan resumes into the same plan.

@@ -115,7 +115,7 @@ class _RecordingRuntime(EvalRuntime):
 
 
 def test_singleton_sweeps_dispatch_in_chunks(small_dp):
-    # Eager runtimes (--batch, worker pools) evaluate a whole dispatch
+    # The eager worker-pool runtime evaluates a whole dispatch
     # up front, so the sweep must never hand them wire counts the
     # early-stop break would leave unconsumed: dispatches are chunked,
     # bounding overshoot to the current chunk.

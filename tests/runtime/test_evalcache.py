@@ -88,6 +88,27 @@ def test_root_finder_tags_the_key(prim, tmp_path, monkeypatch):
     assert new.stats.disk_hits == 0
 
 
+def test_transient_stepper_tags_the_key(prim, tmp_path, monkeypatch):
+    # The stepper moves transient metrics, so a disk tier filled under
+    # one stepper must miss under the other.
+    circuit = _circuit(prim)
+    monkeypatch.setenv("REPRO_STEPPER", "fixed")
+    fixed = EvalCache(disk_dir=tmp_path)
+    fixed_key = fixed.key_for(prim, circuit)
+    assert fixed.key_for(prim, _circuit(prim)) == fixed_key
+    fixed.put(fixed_key, {"offset": 1e-3}, 1)
+    monkeypatch.setenv("REPRO_STEPPER", "adaptive")
+    adaptive = EvalCache(disk_dir=tmp_path)
+    adaptive_key = adaptive.key_for(prim, circuit)
+    assert adaptive.key_for(prim, _circuit(prim)) == adaptive_key
+    assert adaptive_key != fixed_key
+    assert adaptive.get(adaptive_key) is None
+    assert adaptive.stats.disk_hits == 0
+    # An unset variable means the adaptive default: same key.
+    monkeypatch.delenv("REPRO_STEPPER")
+    assert EvalCache().key_for(prim, circuit) == adaptive_key
+
+
 def test_weight_override_changes_key(prim):
     cache = EvalCache()
     circuit = _circuit(prim)

@@ -45,14 +45,12 @@ def _report_fingerprint(report) -> tuple:
 
 
 def _optimizer(run_dir, resume=False):
-    # jobs=1/cache=False/batch=1 keep this file about pure journal
-    # mechanics: the ``_count_evaluations`` instrumentation counts
-    # in-process serial simulator calls, which worker processes,
-    # content-cache hits and the batched fast path (whose members run
-    # through ``batch_evaluate`` hooks, not ``primitive.evaluate``)
-    # would legitimately elide (see test_parallel.py /
-    # test_evalcache.py / test_batched.py for the jobs-, cache- and
-    # batch-aware resume guarantees).
+    # jobs=1/cache=False keep this file about pure journal mechanics:
+    # the ``_count_evaluations`` instrumentation counts in-process
+    # serial simulator calls, which worker processes and content-cache
+    # hits would legitimately elide (see test_parallel.py /
+    # test_evalcache.py for the jobs- and cache-aware resume
+    # guarantees).
     return PrimitiveOptimizer(
         n_bins=2,
         max_wires=3,
@@ -61,7 +59,6 @@ def _optimizer(run_dir, resume=False):
         resume=resume,
         jobs=1,
         cache=False,
-        batch=1,
     )
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.devices.mosfet import MosGeometry
-from repro.errors import NetlistError
+from repro.errors import ConvergenceError, NetlistError
+from repro.runtime import context as eval_context
 from repro.spice import Circuit, CompiledCircuit, dc_operating_point, dc_sweep
 
 
@@ -193,3 +194,27 @@ def test_latch_with_force_lands_in_chosen_basin(tech):
     op = dc_operating_point(compiled(c, tech), force={"q": 0.8, "qb": 0.0})
     assert op.v("q") > 0.6
     assert op.v("qb") < 0.2
+
+
+def test_newton_budget_honored_exactly(tech):
+    # An explicit RetryPolicy budget must override the max(120, 2*nodes)
+    # heuristic verbatim — even 0 — instead of being silently clamped
+    # back up to the floor.
+    c = Circuit("dio")
+    c.add_isource("i1", "0", "d", 100e-6)
+    c.add_mosfet("m1", "d", "d", "0", "0", tech.nmos, MosGeometry(8, 4, 1))
+    circuit = compiled(c, tech)
+    baseline = dc_operating_point(circuit)
+    with eval_context.evaluation(eval_context.EvalContext(newton_max_iterations=0)):
+        with pytest.raises(ConvergenceError):
+            dc_operating_point(circuit)
+    # A budget at/above what the solve needs reproduces the default.
+    with eval_context.evaluation(
+        eval_context.EvalContext(newton_max_iterations=200)
+    ):
+        op = dc_operating_point(circuit)
+    assert np.array_equal(op.x, baseline.x)
+    # None keeps the heuristic.
+    with eval_context.evaluation(eval_context.EvalContext()):
+        op = dc_operating_point(circuit)
+    assert np.array_equal(op.x, baseline.x)

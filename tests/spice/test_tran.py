@@ -10,13 +10,17 @@ from repro.spice import measure
 from repro.spice.waveforms import Pulse, Sin
 
 
-def test_rc_step_response(tech):
+STEPPERS = pytest.mark.parametrize("stepper", ["adaptive", "fixed"])
+
+
+@STEPPERS
+def test_rc_step_response(tech, stepper):
     c = Circuit("rc")
     c.add_vsource("vin", "in", "0", Pulse(0.0, 1.0, delay=1e-9, rise=1e-12, width=1.0))
     c.add_resistor("r1", "in", "out", 1e3)
     c.add_capacitor("c1", "out", "0", 1e-12)  # tau = 1ns
     cc = CompiledCircuit(c, tech.rules)
-    tr = transient(cc, t_stop=6e-9, dt=5e-12)
+    tr = transient(cc, t_stop=6e-9, dt=5e-12, stepper=stepper)
     v = tr.v("out")
     k1 = np.argmin(np.abs(tr.t - 2e-9))  # 1 tau after the step
     k3 = np.argmin(np.abs(tr.t - 4e-9))  # 3 tau
@@ -35,7 +39,8 @@ def test_sinusoid_through_resistor(tech):
     assert freq == pytest.approx(1e9, rel=0.02)
 
 
-def test_lc_oscillation_frequency(tech):
+@STEPPERS
+def test_lc_oscillation_frequency(tech, stepper):
     # An LC tank rung by an initial current through the inductor.
     c = Circuit("lc")
     c.add_isource("ikick", "0", "t", Pulse(1e-3, 0.0, delay=0.0, rise=1e-12, width=1.0))
@@ -43,7 +48,7 @@ def test_lc_oscillation_frequency(tech):
     c.add_capacitor("c1", "t", "0", 1e-12)
     c.add_resistor("rl", "t", "0", 10e3)
     cc = CompiledCircuit(c, tech.rules)
-    tr = transient(cc, t_stop=4e-9, dt=2e-12)
+    tr = transient(cc, t_stop=4e-9, dt=2e-12, stepper=stepper)
     # After the kick source drops, the tank rings near f0.
     freq = measure.oscillation_frequency(tr.t, tr.v("t"), settle_fraction=0.3)
     f0 = 1.0 / (2 * np.pi * np.sqrt(1e-9 * 1e-12))
@@ -113,13 +118,14 @@ def test_vdiff_waveform(tech):
     assert np.allclose(tr.vdiff("a", "b"), 0.5, atol=1e-6)
 
 
-def test_energy_conservation_rc_discharge(tech):
+@STEPPERS
+def test_energy_conservation_rc_discharge(tech, stepper):
     # A charged capacitor discharging through a resistor: exponential.
     c = Circuit("dis")
     c.add_vsource("vin", "in", "0", Pulse(1.0, 0.0, delay=0.5e-9, rise=1e-12, width=1.0))
     c.add_resistor("r1", "in", "out", 1e3)
     c.add_capacitor("c1", "out", "0", 1e-12)
     cc = CompiledCircuit(c, tech.rules)
-    tr = transient(cc, t_stop=4e-9, dt=5e-12)
+    tr = transient(cc, t_stop=4e-9, dt=5e-12, stepper=stepper)
     k = np.argmin(np.abs(tr.t - 1.5e-9))  # 1 tau after fall
     assert tr.v("out")[k] == pytest.approx(np.exp(-1), abs=0.02)

@@ -182,3 +182,26 @@ def test_linear_circuit_reuses_factorizations(tech):
         transient(cc, t_stop=6e-9, dt=5e-12, stepper="fixed")
     assert stats.lu_reuses > 0
     assert stats.factorizations < stats.solves
+
+
+def test_fixed_stepper_counts_newton_failure_halvings(tech, monkeypatch):
+    """A fixed step that fails Newton is halved and counted as rejected;
+    the output grid does not move."""
+    cc = _rc(tech)
+    reference = transient(cc, t_stop=2e-9, dt=1e-11, stepper="fixed")
+    real_step = tran_mod._Integrator.step
+    failures = iter([True])
+
+    def flaky_step(self, *args):
+        if next(failures, False):
+            return None
+        return real_step(self, *args)
+
+    monkeypatch.setattr(tran_mod._Integrator, "step", flaky_step)
+    stats = kernel.SolverStats()
+    with kernel.collect(stats):
+        tr = transient(cc, t_stop=2e-9, dt=1e-11, stepper="fixed")
+    assert stats.tran_rejected == 1
+    assert stats.tran_steps == stats.tran_fixed_steps == 200
+    np.testing.assert_array_equal(tr.t, reference.t)
+    assert tr.solutions.shape == reference.solutions.shape

@@ -42,7 +42,8 @@ def test_ring_oscillator_three_inverters(tech):
     assert 1e9 < freq < 1e11
 
 
-def test_ac_and_tran_agree_on_rc_pole(tech):
+@pytest.mark.parametrize("stepper", ["adaptive", "fixed"])
+def test_ac_and_tran_agree_on_rc_pole(tech, stepper):
     """The transient step response time constant matches the AC pole."""
     from repro.spice import ac_analysis, dc_operating_point
 
@@ -57,7 +58,7 @@ def test_ac_and_tran_agree_on_rc_pole(tech):
     ac = ac_analysis(cc, op, 1e6, 1e12, 20)
     f3db = measure.bandwidth_3db(ac.freqs, ac.v("out"))
 
-    tr = transient(cc, t_stop=8e-9, dt=2e-12, op=op)
+    tr = transient(cc, t_stop=8e-9, dt=2e-12, op=op, stepper=stepper)
     # 10-90% rise time of a single pole: 2.2 tau = 2.2/(2 pi f3db).
     rise = measure.delay_between(
         tr.t, tr.v("out"), tr.v("out"), 0.1, 0.9

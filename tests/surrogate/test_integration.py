@@ -2,8 +2,8 @@
 
 ISSUE acceptance, verified here:
 
-* surrogate-on runs journal byte-identically for any ``--jobs`` /
-  ``--batch`` value (pruning is decided before dispatch);
+* surrogate-on runs journal byte-identically for any ``--jobs`` value
+  (pruning is decided before dispatch);
 * surrogate-off runs journal byte-identically to the pre-surrogate
   baseline — including a cold surrogate-on run, which must fall back to
   the full sweep;
@@ -35,8 +35,7 @@ def _fresh_dp(name="sg_dp"):
     return DifferentialPair(Technology.default(), base_fins=FINS, name=name)
 
 
-def _optimizer(run_dir, corpus, jobs=1, batch=1, surrogate=True,
-               resume=False):
+def _optimizer(run_dir, corpus, jobs=1, surrogate=True, resume=False):
     # cache=False keeps simulation counts honest: every elided
     # evaluation below is elided by *pruning*, not by a content-cache
     # hit.
@@ -48,7 +47,6 @@ def _optimizer(run_dir, corpus, jobs=1, batch=1, surrogate=True,
         resume=resume,
         jobs=jobs,
         cache=False,
-        batch=batch,
         surrogate=surrogate,
         surrogate_corpus=corpus,
     )
@@ -109,16 +107,13 @@ def test_warm_corpus_prunes_without_moving_the_chosen_cost(warm, tmp_path):
     assert report.best.cost == cold_report.best.cost
 
 
-def test_surrogate_on_journal_identical_across_jobs_and_batch(
-    warm, tmp_path
-):
+def test_surrogate_on_journal_identical_across_jobs(warm, tmp_path):
     corpus, _ = warm
     journals = {}
     fingerprints = {}
     for label, kwargs in (
-        ("serial", dict(jobs=1, batch=1)),
-        ("jobs2", dict(jobs=2, batch=1)),
-        ("batch4", dict(jobs=1, batch=4)),
+        ("serial", dict(jobs=1)),
+        ("jobs2", dict(jobs=2)),
     ):
         corpus_copy = tmp_path / f"{label}.jsonl"
         shutil.copy(corpus, corpus_copy)
@@ -129,9 +124,7 @@ def test_surrogate_on_journal_identical_across_jobs_and_batch(
         journals[label] = (run_dir / "sg_dp.jsonl").read_bytes()
         fingerprints[label] = _fingerprint(report)
     assert journals["jobs2"] == journals["serial"]
-    assert journals["batch4"] == journals["serial"]
     assert fingerprints["jobs2"] == fingerprints["serial"]
-    assert fingerprints["batch4"] == fingerprints["serial"]
     assert b'"pruned"' in journals["serial"]
 
 

@@ -181,92 +181,6 @@ def test_repository_sources_are_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
-def test_batch_loop_solve_is_flagged():
-    findings = _lint(
-        """
-        import numpy as np
-
-        def solve_members_batch(systems):
-            out = []
-            for lhs, rhs in systems:
-                out.append(np.linalg.solve(lhs, rhs))
-            return out
-        """
-    )
-    assert [f.code for f in findings] == ["DEV-BATCH-SOLVE"]
-    assert "stacked" in findings[0].message
-
-
-def test_batch_module_while_loop_solve_is_flagged():
-    findings = _lint(
-        """
-        import numpy as np
-
-        def drain(queue):
-            while queue:
-                lhs, rhs = queue.pop()
-                numpy.linalg.solve(lhs, rhs)
-        """,
-        path="src/repro/runtime/batched.py",
-    )
-    assert [f.code for f in findings] == ["DEV-BATCH-SOLVE"]
-
-
-def test_solve_outside_batch_scope_is_fine():
-    findings = _lint(
-        """
-        import numpy as np
-
-        def newton_step(systems):
-            for lhs, rhs in systems:
-                np.linalg.solve(lhs, rhs)
-        """
-    )
-    assert findings == []
-
-
-def test_stacked_solve_outside_loop_is_fine():
-    findings = _lint(
-        """
-        import numpy as np
-
-        def solve_batch(lhs, rhs):
-            return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-        """
-    )
-    assert findings == []
-
-
-def test_nested_def_in_batch_loop_is_fine():
-    findings = _lint(
-        """
-        import numpy as np
-
-        def dispatch_batch(members):
-            thunks = []
-            for lhs, rhs in members:
-                def thunk(lhs=lhs, rhs=rhs):
-                    return np.linalg.solve(lhs, rhs)
-                thunks.append(thunk)
-            return thunks
-        """
-    )
-    assert findings == []
-
-
-def test_batch_loop_solve_suppressible():
-    findings = _lint(
-        """
-        import numpy as np
-
-        def rescue_batch(members):
-            for lhs, rhs in members:
-                np.linalg.solve(lhs, rhs)  # devlint: ok
-        """
-    )
-    assert findings == []
-
-
 def test_surrogate_prediction_into_journal_is_flagged():
     findings = _lint(
         """

@@ -4,10 +4,9 @@
 The repository promises byte-deterministic artifacts: journals resume,
 evaluation caches hash their keys, and `repro verify/ingest --format
 json` output must be identical across runs and ``--jobs`` values.
-Five source-level hazards quietly break that promise — or, for the
-last two, the performance and measurement contracts next to it — and
-this tool flags them with a small AST walk (stdlib only, no
-third-party deps):
+Four source-level hazards quietly break that promise — or, for the
+last one, the measurement contract next to it — and this tool flags
+them with a small AST walk (stdlib only, no third-party deps):
 
 * ``DEV-RANDOM`` — a call to the *module-level* :mod:`random` API
   (``random.random()``, ``random.shuffle()``, a bare ``shuffle()``
@@ -27,12 +26,6 @@ third-party deps):
   history and hash seeding; anything it feeds into journaled or
   printed output is nondeterministic.  Iterate over ``sorted(...)``
   instead.
-* ``DEV-BATCH-SOLVE`` — an ``np.linalg.solve(...)`` call lexically
-  inside a ``for``/``while`` loop in batch code (a module or enclosing
-  function whose name mentions ``batch``).  Looping per-member dense
-  solves is exactly what the stacked ``(K, N, N)`` fast path exists to
-  replace; stack the systems into one call, or mask the members, and
-  route deliberate serial fallbacks through the member's thunk.
 * ``DEV-SURROGATE-LEAK`` — a surrogate prediction flowing into a
   journaled, cached or reported value: an argument mentioning
   ``predict``/``surrogate`` identifiers passed to a journal/cache write
@@ -83,10 +76,6 @@ DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 #: journal path for the DEV-WALLCLOCK scope.
 CLOCK_SCOPES = ("cache", "journal", "checkpoint")
 
-#: Name fragments that mark a module/function as batch-kernel code for
-#: the DEV-BATCH-SOLVE scope.
-BATCH_SCOPES = ("batch",)
-
 #: Journal/cache write methods that must never receive surrogate
 #: predictions as data.
 SURROGATE_SINKS = frozenset({"record_success", "record_failure", "put"})
@@ -123,18 +112,6 @@ class Finding:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
 
-def _is_numpy_linalg_solve(func: ast.expr) -> bool:
-    """True for ``np.linalg.solve`` / ``numpy.linalg.solve`` references."""
-    return (
-        isinstance(func, ast.Attribute)
-        and func.attr == "solve"
-        and isinstance(func.value, ast.Attribute)
-        and func.value.attr == "linalg"
-        and isinstance(func.value.value, ast.Name)
-        and func.value.value.id in ("np", "numpy")
-    )
-
-
 def _is_set_expression(node: ast.expr) -> bool:
     """True for expressions that are unambiguously sets."""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -154,15 +131,11 @@ class _Checker(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self._lines = source.splitlines()
         self._func_stack: list[str] = []
-        self._loop_depth = 0
         # Names bound by `from random import ...` / `import random as r`.
         self._random_names: set[str] = set()
         self._random_modules: set[str] = set()
         self._module_scoped = any(
             token in module_name.lower() for token in CLOCK_SCOPES
-        )
-        self._module_batch_scoped = any(
-            token in module_name.lower() for token in BATCH_SCOPES
         )
 
     # -- helpers -------------------------------------------------------
@@ -186,15 +159,6 @@ class _Checker(ast.NodeVisitor):
             for token in CLOCK_SCOPES
         )
 
-    def _in_batch_scope(self) -> bool:
-        if self._module_batch_scoped:
-            return True
-        return any(
-            token in name.lower()
-            for name in self._func_stack
-            for token in BATCH_SCOPES
-        )
-
     # -- imports -------------------------------------------------------
 
     def visit_Import(self, node: ast.Import) -> None:
@@ -214,11 +178,7 @@ class _Checker(ast.NodeVisitor):
 
     def _visit_func(self, node) -> None:
         self._func_stack.append(node.name)
-        # A nested def's body runs per call, not per enclosing-loop
-        # iteration — it starts outside any loop.
-        saved, self._loop_depth = self._loop_depth, 0
         self.generic_visit(node)
-        self._loop_depth = saved
         self._func_stack.pop()
 
     visit_FunctionDef = _visit_func
@@ -259,18 +219,6 @@ class _Checker(ast.NodeVisitor):
                 f"unseeded global RNG; thread a random.Random(seed) "
                 f"instance",
             )
-        if (
-            _is_numpy_linalg_solve(func)
-            and self._loop_depth > 0
-            and self._in_batch_scope()
-        ):
-            self._flag(
-                node, "DEV-BATCH-SOLVE",
-                "per-member np.linalg.solve in a batch loop defeats the "
-                "stacked (K, N, N) fast path; stack the systems or mask "
-                "the members, and route deliberate serial fallbacks "
-                "through the member's thunk",
-            )
         self._check_surrogate_leak(node, func)
         self.generic_visit(node)
 
@@ -309,14 +257,7 @@ class _Checker(ast.NodeVisitor):
                 "for-loop iterates a set directly; order is "
                 "nondeterministic — wrap in sorted(...)",
             )
-        self._loop_depth += 1
         self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
 
     def _visit_comp(self, node) -> None:
         for gen in node.generators:
