@@ -15,12 +15,11 @@ keys without re-simulating and re-records journaled failures into the
 live :class:`~repro.runtime.failures.FailureLog` so resumed reports
 account for every failure of the whole logical run.
 
-A third status, ``"pruned"``, records candidates the surrogate guide
-(:mod:`repro.surrogate`) skipped without simulating.  Pruned entries are
-decisions, not results: :meth:`SweepJournal.lookup` reports them as
-not-completed (so a surrogate-off rerun evaluates them normally) and
-:meth:`SweepJournal.is_pruned` answers them separately so a resumed
-surrogate run repeats the pruning without re-consulting the model.
+Journals from older versions, which could prune sweep candidates with a
+learned cost model, may also hold ``"pruned"`` lines: candidates skipped
+without simulating.  They are still accepted on resume but read as not
+completed, so the resumed run evaluates those candidates like any other
+missing key.
 
 A crash mid-append leaves a *torn tail*: a final line that is not valid
 JSON.  Resume **truncates** the torn tail (recording how many bytes were
@@ -44,7 +43,9 @@ from repro.runtime.failures import EvalFailure
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
-STATUS_PRUNED = "pruned"
+#: Status of skipped-candidate lines in journals from older runs; such
+#: lines are accepted but never replayed.
+STATUS_LEGACY_PRUNED = "pruned"
 
 
 class SweepJournal:
@@ -102,11 +103,12 @@ class SweepJournal:
                 raise CheckpointError(
                     f"{self.path}:{i + 1}: unreadable journal entry"
                 ) from None
-            if status not in (STATUS_OK, STATUS_FAILED, STATUS_PRUNED):
+            if status not in (STATUS_OK, STATUS_FAILED, STATUS_LEGACY_PRUNED):
                 raise CheckpointError(
                     f"{self.path}:{i + 1}: unknown status {status!r}"
                 )
-            self._entries[key] = entry
+            if status != STATUS_LEGACY_PRUNED:
+                self._entries[key] = entry
             offset = end
             good_end = end
         if self.truncated_tail:
@@ -122,22 +124,8 @@ class SweepJournal:
         return key in self._entries
 
     def lookup(self, key: str) -> dict | None:
-        """The journal entry for ``key``, or None if not completed.
-
-        Pruned entries are *not* completed evaluations — they carry no
-        payload and no failures — so they are reported as None here and
-        answered through :meth:`is_pruned` instead.  A later run with
-        the surrogate disabled therefore evaluates them normally.
-        """
-        entry = self._entries.get(key)
-        if entry is not None and entry["status"] == STATUS_PRUNED:
-            return None
-        return entry
-
-    def is_pruned(self, key: str) -> bool:
-        """True when ``key`` was journaled as surrogate-pruned."""
-        entry = self._entries.get(key)
-        return entry is not None and entry["status"] == STATUS_PRUNED
+        """The journal entry for ``key``, or None if not completed."""
+        return self._entries.get(key)
 
     def journaled_failures(self, key: str) -> list[EvalFailure]:
         """Failures journaled for ``key`` (empty for successes)."""
@@ -177,18 +165,6 @@ class SweepJournal:
                 "failures": [f.to_dict() for f in failures],
             }
         )
-
-    def record_pruned(self, key: str) -> None:
-        """Journal a candidate the surrogate pruned without simulating.
-
-        Pruned entries carry no payload: they record only the *decision*
-        so a resumed run repeats it without re-consulting the model.
-        Idempotent — re-recording an already-pruned key is a no-op, and a
-        key with a completed (``ok``/``failed``) entry is never
-        downgraded to pruned.
-        """
-        if key not in self._entries:
-            self._append({"key": key, "status": STATUS_PRUNED})
 
     def flush(self) -> None:
         """Force buffered appends to disk (signal-handler durability hook).

@@ -178,7 +178,7 @@ class EvalRuntime:
         self._stage_total: Counter = Counter()
         self._stage_failed: Counter = Counter()
         #: Evaluations answered from the journal without re-simulating.
-        self.cache_hits = 0
+        self.resumed = 0
         #: Solver-kernel counters accumulated across every evaluation
         #: this runtime executes in-process.  A *profiling view*, not
         #: part of the determinism contract: journal replays and cache
@@ -236,7 +236,7 @@ class EvalRuntime:
         """
         entry = self.journal.lookup(key) if self.journal is not None else None
         if entry is not None:
-            self.cache_hits += 1
+            self.resumed += 1
             # Replay the journaled failure accounting (for successes these
             # are retried-then-recovered attempts) so the resumed log
             # matches the uninterrupted run's exactly.

@@ -7,7 +7,13 @@ import json
 import pytest
 
 from repro.errors import CheckpointError
-from repro.runtime import CONV_DC, EvalFailure, SweepJournal
+from repro.runtime import (
+    CONV_DC,
+    EvalFailure,
+    EvalRuntime,
+    RetryPolicy,
+    SweepJournal,
+)
 
 
 def test_success_round_trip(tmp_path):
@@ -112,13 +118,17 @@ def test_interior_corruption_raises(tmp_path):
 
 
 def test_unknown_status_raises(tmp_path):
+    # Legacy "pruned" lines load; any other status is corruption.
     path = tmp_path / "sweep.jsonl"
-    path.write_text(json.dumps({"key": "a", "status": "maybe"}) + "\n")
-    path.write_text(
-        path.read_text() + json.dumps({"key": "b", "status": "ok"}) + "\n"
-    )
-    with pytest.raises(CheckpointError):
-        SweepJournal(path, resume=True)
+    for status in ("maybe", "done", "PRUNED", ""):
+        lines = [
+            {"key": "a", "status": "pruned"},
+            {"key": "b", "status": status},
+            {"key": "c", "status": "ok"},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(CheckpointError, match="unknown status"):
+            SweepJournal(path, resume=True)
 
 
 def test_resume_missing_file_starts_empty(tmp_path):
@@ -133,3 +143,37 @@ def test_last_entry_wins(tmp_path):
         journal.record_success("k", {"cost": 3.0})
     with SweepJournal(path, resume=True) as journal:
         assert journal.lookup("k")["status"] == "ok"
+
+
+def test_legacy_pruned_lines_resume_as_not_completed(tmp_path):
+    # Journals from versions that pruned sweep candidates with a learned
+    # cost model hold "pruned" lines.  They still load, but only the ok
+    # and failed keys replay: the pruned candidate is simulated afresh.
+    path = tmp_path / "sweep.jsonl"
+    failure = EvalFailure(CONV_DC, "selection", "bad", message="x", attempt=0)
+    lines = [
+        {"key": "good", "status": "ok", "payload": {"v": 1}},
+        {"key": "bad", "status": "failed", "failures": [failure.to_dict()]},
+        {"key": "skipped", "status": "pruned"},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+    journal = SweepJournal(path, resume=True)
+    assert len(journal) == 2
+    assert "skipped" not in journal
+    runtime = EvalRuntime(policy=RetryPolicy(max_retries=0), journal=journal)
+    simulated: list[str] = []
+
+    def thunk(key):
+        return lambda: simulated.append(key) or {"v": 2}
+
+    results = {
+        key: runtime.evaluate(key, thunk(key), stage="selection")
+        for key in ("good", "bad", "skipped")
+    }
+    journal.close()
+    assert simulated == ["skipped"]
+    assert results == {"good": {"v": 1}, "bad": None, "skipped": {"v": 2}}
+    assert runtime.resumed == 2
+    with SweepJournal(path, resume=True) as reopened:
+        assert reopened.lookup("skipped")["status"] == "ok"

@@ -155,7 +155,7 @@ def test_parallel_resume_after_kill_is_identical(tmp_path):
         jobs=JOBS, run_dir=tmp_path / "run", resume=True
     ).optimize(_fresh_dp())
     assert _fingerprint(resumed) == _fingerprint(baseline)
-    assert resumed.cached_evaluations == len(kept)
+    assert resumed.resumed_evaluations == len(kept)
 
 
 # -- batch semantics -----------------------------------------------------

@@ -7,6 +7,8 @@ evaluations the journal already holds.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import PrimitiveOptimizer, Technology
@@ -86,7 +88,7 @@ def test_resume_after_kill_is_identical_and_skips_sims(tmp_path):
 
     # Identical results...
     assert _report_fingerprint(resumed) == _report_fingerprint(baseline)
-    assert resumed.cached_evaluations == kept
+    assert resumed.resumed_evaluations == kept
     # ...without re-simulating the journaled half.  The resumed run only
     # simulates what the journal lost (plus nothing else: total journal
     # entries == journaled + re-run evaluations).
@@ -100,7 +102,7 @@ def test_full_journal_resume_needs_zero_simulations(tmp_path):
     calls = _count_evaluations(primitive)
     resumed = _optimizer(tmp_path, resume=True).optimize(primitive)
     assert not calls
-    assert resumed.cached_evaluations > 0
+    assert resumed.resumed_evaluations > 0
     assert _report_fingerprint(resumed) == _report_fingerprint(first)
 
 
@@ -133,4 +135,33 @@ def test_resume_without_journal_runs_fresh(tmp_path):
     primitive = _fresh_dp()
     report = _optimizer(tmp_path, resume=True).optimize(primitive)
     assert report.options
-    assert report.cached_evaluations == 0
+    assert report.resumed_evaluations == 0
+
+
+def test_legacy_pruned_lines_are_resimulated_on_resume(tmp_path):
+    # Run dirs written by versions with learned sweep pruning journal
+    # skipped candidates as "pruned".  Resuming such a run evaluates
+    # exactly those candidates and reaches the uninterrupted result.
+    baseline = _optimizer(tmp_path).optimize(_fresh_dp())
+    journal = tmp_path / "rs_dp.jsonl"
+    entries = [json.loads(line) for line in journal.read_text().splitlines()]
+    pruned = [e["key"] for e in entries if e["key"].startswith("sel:")][1::2]
+    assert pruned
+    journal.write_text(
+        "".join(
+            json.dumps(
+                {"key": e["key"], "status": "pruned"}
+                if e["key"] in pruned
+                else e
+            )
+            + "\n"
+            for e in entries
+        )
+    )
+
+    primitive = _fresh_dp()
+    calls = _count_evaluations(primitive)
+    resumed = _optimizer(tmp_path, resume=True).optimize(primitive)
+    assert len(calls) == len(pruned)
+    assert resumed.resumed_evaluations == len(entries) - len(pruned)
+    assert _report_fingerprint(resumed) == _report_fingerprint(baseline)

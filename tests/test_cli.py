@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,3 +49,42 @@ def test_parser_requires_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args([])
+
+
+def test_cache_stats_reports_disk_tier(tmp_path, capsys):
+    cache_dir = tmp_path / "evalcache"
+    assert main(["optimize", "current_source", "--fins", "48",
+                 "--bins", "2", "--max-wires", "3", "--jobs", "1",
+                 "--cache-dir", str(cache_dir)]) == 0
+    capsys.readouterr()
+    assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    entries = sorted(cache_dir.glob("*.json"))
+    assert entries
+    assert payload == {
+        "evalcache": {
+            "entries": len(entries),
+            "bytes": sum(p.stat().st_size for p in entries),
+            "dir": str(cache_dir),
+        }
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cache", "export"],
+        ["cache", "stats", "--corpus", "corpus.jsonl"],
+        ["optimize", "differential_pair", "--surrogate"],
+        ["optimize", "differential_pair", "--no-surrogate"],
+        ["optimize", "differential_pair", "--surrogate-topk", "4"],
+        ["flow", "ota", "--explore", "2"],
+        ["profile", "ota", "--surrogate-corpus", "corpus.jsonl"],
+    ],
+    ids=" ".join,
+)
+def test_removed_pruning_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
