@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test paper faults chaos bench bench-eval bench-spice bench-light bench-heavy examples lint devlint verify erc ingest all
+.PHONY: install test paper perfbench faults chaos bench bench-eval bench-spice bench-light bench-heavy examples lint devlint verify erc ingest all
 
 install:
 	pip install -e . --no-build-isolation
@@ -18,6 +18,13 @@ test:
 # the paper's claims.  About 7 minutes on 2 cores.
 paper:
 	pytest benchmarks -q
+
+# The repository benchmark's own tests, then one short ota_flow run: it
+# checks the chosen variants, wire counts and cost against
+# perfbench/references.json and exits 1 on a mismatch.  About 25 s.
+perfbench:
+	python3 -m pytest perfbench/tests -q
+	python3 perfbench/run.py --workload ota_flow --seconds 1 --trace 0
 
 # Fault-injection sweep: the runtime tests re-run under every seed in the
 # matrix, exercising injected DC/transient/singular/metric failures.

@@ -32,7 +32,7 @@ from repro.cellgen.patterns import PatternRows, pattern_rows
 from repro.devices.mosfet import MosGeometry
 from repro.errors import LayoutError
 from repro.geometry.layout import DevicePlacement, Layout, Port, Via, Wire
-from repro.geometry.shapes import Point, Rect
+from repro.geometry.shapes import Point, Rect, bounding_box
 from repro.tech.pdk import Technology
 
 #: Number of vertical trunk rails per net (fixed mesh density).
@@ -393,9 +393,7 @@ def _build_layout(
         layout.ports.append(Port(net=net, layer="M3", rect=port_positions[net]))
 
     # --- well ------------------------------------------------------------
-    device_box = layout.devices[0].rect
-    for placement in layout.devices[1:]:
-        device_box = device_box.union(placement.rect)
+    device_box = bounding_box(d.rect for d in layout.devices)
     layout.well_rect = device_box.expanded(rules.well_enclosure)
 
     layout.metadata = {

@@ -105,6 +105,7 @@ def extract_net_parasitics(
 
     # Per-device-terminal branches.
     r_branches: dict[str, float] = {}
+    stub_vias = [v for v in vias if v.lower_layer == "M1"]
     owners = sorted({s.owner for s in stubs if s.owner})
     for owner in owners:
         own_stubs = [s for s in stubs if s.owner == owner]
@@ -126,7 +127,6 @@ def extract_net_parasitics(
             r += r_strap / (3.0 * straps_per_row * rows_of_device)
         if vias:
             via_layer = stack.via_between("M1", "M2")
-            stub_vias = [v for v in vias if v.lower_layer == "M1"]
             per_stub_cuts = max(1, len(stub_vias) // max(1, len(stubs)))
             r += via_layer.resistance / (per_stub_cuts * len(own_stubs))
         r_branches[owner] = max(MIN_RESISTANCE, r)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import LayoutError
-from repro.geometry.shapes import Point, Rect, bounding_box
+from repro.geometry.shapes import Point, Rect
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,25 @@ class Layout:
     def bbox(self) -> Rect:
         """Bounding box over all shapes, including via positions.
 
-        Vias are points, so each contributes a degenerate rectangle; a
-        via placed at the cell edge therefore cannot sit outside the
-        reported bounding box even if no wire reaches it.
+        Vias are points, so each contributes its position; a via placed
+        at the cell edge therefore cannot sit outside the reported
+        bounding box even if no wire reaches it.  Large cells hold
+        thousands of shapes, so this takes min/max over the coordinates
+        directly instead of building a rectangle per shape.
         """
         rects = [d.rect for d in self.devices]
         rects += [w.rect for w in self.wires]
         rects += [p.rect for p in self.ports]
-        rects += [Rect(v.position.x, v.position.y, v.position.x, v.position.y)
-                  for v in self.vias]
-        if not rects:
+        if not rects and not self.vias:
             raise LayoutError(f"layout {self.name!r} is empty")
-        return bounding_box(rects)
+        via_xs = [v.position.x for v in self.vias]
+        via_ys = [v.position.y for v in self.vias]
+        return Rect(
+            min([r.x0 for r in rects] + via_xs),
+            min([r.y0 for r in rects] + via_ys),
+            max([r.x1 for r in rects] + via_xs),
+            max([r.y1 for r in rects] + via_ys),
+        )
 
     @property
     def width(self) -> int:

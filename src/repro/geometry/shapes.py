@@ -114,7 +114,9 @@ def bounding_box(rects: Iterable[Rect]) -> Rect:
     rects = list(rects)
     if not rects:
         raise LayoutError("bounding box of an empty collection")
-    box = rects[0]
-    for rect in rects[1:]:
-        box = box.union(rect)
-    return box
+    return Rect(
+        min(r.x0 for r in rects),
+        min(r.y0 for r in rects),
+        max(r.x1 for r in rects),
+        max(r.y1 for r in rects),
+    )

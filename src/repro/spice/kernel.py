@@ -37,13 +37,17 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.errors import SimulationError, SingularMatrixError
+
+# scipy is imported where the sparse backend and ``factor`` use it: the
+# dense DC/AC/transient path never needs it, and loading it costs about
+# a third of a second and 25 MiB per process.
+if TYPE_CHECKING:
+    import scipy.sparse
 
 #: Solver choices.
 DENSE = "dense"
@@ -443,6 +447,8 @@ class SystemTemplate:
         return self._static_data
 
     def _csc(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
+        import scipy.sparse
+
         n = self.size
         mat = scipy.sparse.csc_matrix(
             (data[: self._nnz], self._indices, self._indptr), shape=(n, n)
@@ -502,6 +508,8 @@ class SystemTemplate:
     ) -> tuple[np.ndarray, str | None]:
         """Sparse only: solve from an explicit (prefabricated) data vector."""
         assert self.backend == SPARSE
+        import scipy.sparse.linalg
+
         rhs = np.asarray(rhs[: self.size], dtype=self.dtype)
         stats = active()
         try:
@@ -536,6 +544,9 @@ class SystemTemplate:
                 callers fall back to :meth:`solve` (which carries the
                 Tikhonov rescue).
         """
+        import scipy.linalg
+        import scipy.sparse.linalg
+
         dyn_vals = np.asarray(dyn_vals, dtype=self.dtype)
         stats = active()
         if stats is not None:

@@ -1,5 +1,7 @@
 """Layout container: wires, ports, instances."""
 
+from functools import reduce
+
 import pytest
 
 from repro.errors import LayoutError
@@ -14,6 +16,9 @@ from repro.geometry import (
     Wire,
     flatten_instances,
 )
+from repro.cellgen.patterns import available_patterns
+from repro.primitives import PrimitiveLibrary
+from repro.tech import Technology
 
 
 def make_layout():
@@ -94,6 +99,70 @@ def test_bbox_includes_via_positions():
     grown = lay.bbox()
     assert grown.x1 == base.x1 + 400
     assert grown.y0 == base.y0
+
+
+def folded_bbox(lay):
+    """Reference bounding box: a Rect.union fold, vias as degenerate rects."""
+    rects = [d.rect for d in lay.devices]
+    rects += [w.rect for w in lay.wires]
+    rects += [p.rect for p in lay.ports]
+    rects += [Rect(v.position.x, v.position.y, v.position.x, v.position.y)
+              for v in lay.vias]
+    return reduce(Rect.union, rects)
+
+
+def test_bbox_of_via_only_layout():
+    lay = Layout(name="vias")
+    lay.vias.append(Via("a", "M1", "M2", Point(-300, 700)))
+    assert lay.bbox() == Rect(-300, 700, -300, 700) == folded_bbox(lay)
+    lay.vias.append(Via("b", "M2", "M3", Point(200, -100)))
+    assert lay.bbox() == Rect(-300, -100, 200, 700) == folded_bbox(lay)
+
+
+def test_bbox_extreme_from_via_only():
+    lay = make_layout()
+    lay.vias.append(Via("out", "M1", "M2", Point(-250, 900)))
+    box = lay.bbox()
+    assert (box.x0, box.y1) == (-250, 900)
+    assert box == folded_bbox(lay)
+
+
+def test_bbox_extreme_from_port_only():
+    lay = make_layout()
+    lay.ports.append(Port("in", "M3", Rect(2000, -64, 2032, -32)))
+    box = lay.bbox()
+    assert (box.y0, box.x1) == (-64, 2032)
+    assert box == folded_bbox(lay)
+
+
+_TECH = Technology.default()
+_LIBRARY = PrimitiveLibrary()
+
+
+def _layout_families() -> list[str]:
+    names = []
+    for name in _LIBRARY.names():
+        try:
+            _LIBRARY.create(name, _TECH, base_fins=48)
+        except TypeError:
+            continue  # passives take no base_fins and emit no layouts
+        names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("name", _layout_families())
+def test_generated_layout_bbox_matches_fold(name):
+    primitive = _LIBRARY.create(name, _TECH, base_fins=48)
+    base = primitive.variants()[0]
+    matched = list(primitive.matched_group())
+    counts = {
+        t.name: base.m * t.m_ratio
+        for t in primitive.templates()
+        if t.name in matched
+    }
+    pattern = available_patterns(matched, counts)[0]
+    lay = primitive.generate(base, pattern, verify=False)
+    assert lay.bbox() == folded_bbox(lay)
 
 
 def test_instance_placed_bbox():

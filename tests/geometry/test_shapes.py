@@ -1,5 +1,7 @@
 """Rectilinear geometry, with property-based invariants."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,3 +113,4 @@ def test_bounding_box_covers_all(rs):
     box = bounding_box(rs)
     for r in rs:
         assert box.union(r) == box
+    assert box == reduce(Rect.union, rs)

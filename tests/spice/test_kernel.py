@@ -8,9 +8,16 @@ auto-by-size.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import SimulationError, SingularMatrixError
 from repro.spice import kernel
 from repro.spice.kernel import Factorization, SolverStats, SystemTemplate
@@ -237,3 +244,38 @@ def test_stats_merge_and_dict_roundtrip():
     assert a.backends == {"dense": 1, "sparse": 1}
     rebuilt = SolverStats.from_dict(a.as_dict())
     assert rebuilt.as_dict() == a.as_dict()
+
+
+# -- lazy scipy ----------------------------------------------------------
+
+
+def test_import_and_dense_dc_solve_do_not_load_scipy():
+    """scipy loads only for the sparse backend and ``factor``."""
+    script = textwrap.dedent(
+        """
+        import sys
+        import repro
+        from repro.devices.mosfet import MosGeometry
+        from repro.spice import Circuit, CompiledCircuit, dc_operating_point
+        from repro.tech import Technology
+
+        assert "scipy" not in sys.modules, "import repro loaded scipy"
+        tech = Technology.default()
+        c = Circuit("diode")
+        c.add_vsource("vdd", "vdd", "0", 0.8)
+        c.add_resistor("r1", "vdd", "d", 1.0e4)
+        c.add_mosfet("m1", "d", "d", "0", "0", tech.nmos, MosGeometry(8, 4, 1))
+        op = dc_operating_point(CompiledCircuit(c, tech.rules), solver="dense")
+        assert 0.0 < op.v("d") < 0.8
+        assert "scipy" not in sys.modules, "dense DC solve loaded scipy"
+        """
+    )
+    env = {k: v for k, v in os.environ.items() if k != kernel.SOLVER_ENV}
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
